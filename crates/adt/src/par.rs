@@ -275,39 +275,6 @@ pub fn try_run_tasks_with<S, R: Send>(
     init: impl Fn() -> S + Sync,
     run: impl Fn(&mut S, usize) -> R + Sync,
 ) -> Result<(Vec<R>, ParStats), ParInterrupt> {
-    try_run_tasks_seeded(config, tasks, cost, None, governor, init, run)
-}
-
-/// Like [`try_run_tasks_with`], but shards are seeded *group-major*:
-/// `group(i)` names each task's group, whole groups are LPT-packed onto
-/// shards by their total cost, and a group's tasks start on the same
-/// worker. Used to seed per-object versioning shards from the disjoint
-/// alias regions of a unification pre-analysis, so tasks whose data can
-/// overlap share a worker's cache. Work stealing still rebalances, and
-/// results stay in task order — grouping is purely a scheduling hint
-/// and never changes the output.
-pub fn try_run_tasks_grouped<S, R: Send>(
-    config: ParConfig,
-    tasks: usize,
-    cost: impl Fn(usize) -> u64 + Copy,
-    group: impl Fn(usize) -> u64,
-    governor: Option<&Governor>,
-    init: impl Fn() -> S + Sync,
-    run: impl Fn(&mut S, usize) -> R + Sync,
-) -> Result<(Vec<R>, ParStats), ParInterrupt> {
-    let groups: Vec<u64> = (0..tasks).map(group).collect();
-    try_run_tasks_seeded(config, tasks, cost, Some(&groups), governor, init, run)
-}
-
-fn try_run_tasks_seeded<S, R: Send>(
-    config: ParConfig,
-    tasks: usize,
-    cost: impl Fn(usize) -> u64,
-    groups: Option<&[u64]>,
-    governor: Option<&Governor>,
-    init: impl Fn() -> S + Sync,
-    run: impl Fn(&mut S, usize) -> R + Sync,
-) -> Result<(Vec<R>, ParStats), ParInterrupt> {
     let start = Instant::now();
     let jobs = config.effective_jobs().max(1).min(tasks.max(1));
     let exec = |state: &mut S, i: usize| -> Result<R, WorkerFault> {
@@ -341,41 +308,16 @@ fn try_run_tasks_seeded<S, R: Send>(
         return Ok((out, ParStats { tasks, steals: 0, workers: 1, wall: start.elapsed() }));
     }
 
-    // Seed shards LPT-style: heaviest units first, each onto the
-    // currently lightest shard (ties to the lowest shard id). A unit is
-    // one task, or — with `groups` — one whole group, so grouped tasks
-    // start on the same worker.
+    // Seed shards LPT-style: heaviest tasks first, each onto the
+    // currently lightest shard (ties to the lowest shard id).
     let wl = ShardedWorklist::new(jobs);
     let mut load = vec![0u64; jobs];
-    match groups {
-        None => {
-            let mut order: Vec<usize> = (0..tasks).collect();
-            order.sort_by_key(|&i| (std::cmp::Reverse(cost(i)), i));
-            for i in order {
-                let shard = (0..jobs).min_by_key(|&s| (load[s], s)).unwrap();
-                load[shard] += cost(i).max(1);
-                wl.push(shard, i);
-            }
-        }
-        Some(gids) => {
-            // Group id -> (total cost, member tasks in ascending order).
-            let mut members: std::collections::BTreeMap<u64, (u64, Vec<usize>)> =
-                std::collections::BTreeMap::new();
-            for (i, &gid) in gids.iter().enumerate().take(tasks) {
-                let e = members.entry(gid).or_default();
-                e.0 += cost(i).max(1);
-                e.1.push(i);
-            }
-            let mut order: Vec<(u64, (u64, Vec<usize>))> = members.into_iter().collect();
-            order.sort_by_key(|&(gid, (total, _))| (std::cmp::Reverse(total), gid));
-            for (_, (total, tasks_of_group)) in order {
-                let shard = (0..jobs).min_by_key(|&s| (load[s], s)).unwrap();
-                load[shard] += total;
-                for i in tasks_of_group {
-                    wl.push(shard, i);
-                }
-            }
-        }
+    let mut order: Vec<usize> = (0..tasks).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(cost(i)), i));
+    for i in order {
+        let shard = (0..jobs).min_by_key(|&s| (load[s], s)).unwrap();
+        load[shard] += cost(i).max(1);
+        wl.push(shard, i);
     }
 
     let mut slots: Vec<Option<R>> = Vec::with_capacity(tasks);
@@ -592,24 +534,6 @@ mod tests {
             assert_eq!(interrupt.faults[0].task, 11);
             g.note_interrupt(&interrupt);
             assert!(!g.completion().is_complete());
-        }
-    }
-
-    #[test]
-    fn grouped_seeding_keeps_results_in_task_order() {
-        for jobs in [1usize, 2, 4, 8] {
-            let (out, stats) = try_run_tasks_grouped(
-                ParConfig::new(jobs),
-                40,
-                |i| (i as u64 % 5) + 1,
-                |i| (i as u64) % 3,
-                None,
-                || (),
-                |(), i| i * 2,
-            )
-            .expect("no faults");
-            assert_eq!(out, (0..40).map(|i| i * 2).collect::<Vec<_>>(), "jobs = {jobs}");
-            assert_eq!(stats.tasks, 40);
         }
     }
 

@@ -48,10 +48,9 @@ pub use callgraph::CallGraph;
 pub use pag::{Pag, PagNodeId};
 pub use singletons::compute_singletons;
 pub use solver::{
-    analyze, analyze_governed, analyze_with_config, analyze_with_config_regions, AndersenConfig,
-    AndersenResult, AndersenStats,
+    analyze, analyze_governed, analyze_with_config, AndersenConfig, AndersenResult, AndersenStats,
 };
 pub use unify::{
-    analyze_unify, analyze_unify_governed, analyze_unify_with_config, AliasRegions, UnifyConfig,
-    UnifyResult, UnifyStats,
+    analyze_unify, analyze_unify_governed, analyze_unify_with_config, UnifyConfig, UnifyResult,
+    UnifyStats,
 };

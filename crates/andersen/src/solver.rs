@@ -79,9 +79,6 @@ pub struct AndersenStats {
     pub waves: usize,
     /// Worker threads used by the parallel schedule (0 for sequential runs).
     pub par_workers: usize,
-    /// `true` when the union shards were seeded by unification alias
-    /// regions ([`crate::solver::analyze_with_config_regions`]).
-    pub region_seeded: bool,
     /// Hash-consed points-to store counters (unique sets, memo hit rates).
     pub store: PtsStoreStats,
 }
@@ -141,23 +138,6 @@ pub fn analyze(prog: &Program) -> AndersenResult {
 /// Runs Andersen's analysis with an explicit configuration.
 pub fn analyze_with_config(prog: &Program, config: AndersenConfig) -> AndersenResult {
     Solver::new(prog, config).run()
-}
-
-/// Runs Andersen's analysis with the wave shards seeded by the alias
-/// regions of a unification pre-analysis ([`crate::unify`]): the union
-/// phase orders its target groups region-major before the cost split,
-/// so targets of the same (provably-disjoint) alias region land on the
-/// same worker wherever load balance permits. A pure scheduling hint —
-/// the result is bit-identical to [`analyze_with_config`] for every
-/// `jobs` and every region assignment.
-pub fn analyze_with_config_regions(
-    prog: &Program,
-    config: AndersenConfig,
-    regions: &crate::unify::AliasRegions,
-) -> AndersenResult {
-    let mut solver = Solver::new(prog, config);
-    solver.regions = Some(regions.region_of_node.clone());
-    solver.run()
 }
 
 /// Runs Andersen's analysis under a [`Governor`]: the solver checkpoints
@@ -236,9 +216,6 @@ struct Solver<'p> {
     geps: Vec<Vec<(u32, u32)>>,
     icalls: Vec<Vec<CallSiteId>>,
     resolved: HashSet<(CallSiteId, FuncId)>,
-    /// Alias region of every PAG node, when a unification pre-analysis
-    /// seeds the union shards (`u32::MAX` = never points anywhere).
-    regions: Option<Vec<u32>>,
     /// Global copy-edge dedup (may contain stale pre-merge pairs, which
     /// only costs an occasional duplicate edge, never correctness).
     edge_seen: HashSet<(u32, u32)>,
@@ -265,7 +242,6 @@ impl<'p> Solver<'p> {
             geps: vec![Vec::new(); n],
             icalls: vec![Vec::new(); n],
             resolved: HashSet::new(),
-            regions: None,
             edge_seen: HashSet::new(),
             callgraph: CallGraph::new(),
             worklist: FifoWorklist::new(n),
@@ -319,7 +295,6 @@ impl<'p> Solver<'p> {
             stats: AndersenStats {
                 copy_edges: self.copy_succs.iter().map(Vec::len).sum(),
                 store: self.store.stats(),
-                region_seeded: self.regions.is_some(),
                 ..self.stats
             },
             flat: FlatReader::new(&self.store, reps),
@@ -496,12 +471,6 @@ impl<'p> Solver<'p> {
     /// targets (each target lives on exactly one worker, so the order is
     /// total) and interns them ascending, so store ids and the next wave
     /// are identical for any worker count and any shard assignment.
-    ///
-    /// When a unification pre-analysis seeds the shards, groups are
-    /// ordered region-major before the cost split: targets of the same
-    /// alias region — the only ones whose sets can share elements — land
-    /// on the same worker wherever balance permits, and an oversized
-    /// region still splits rather than serialising the wave.
     fn apply_unions(&mut self, msgs: &[(u32, u32)], outcomes: &[WaveOutcome], par: ParConfig) {
         if msgs.is_empty() {
             return;
@@ -513,10 +482,6 @@ impl<'p> Solver<'p> {
                 Some(g) if g.0 == t as usize => g.2 = i + 1,
                 _ => groups.push((t as usize, i, i + 1)),
             }
-        }
-        if let Some(regions) = &self.regions {
-            let region_of = |t: usize| regions.get(t).copied().unwrap_or(u32::MAX);
-            groups.sort_by_key(|&(t, _, _)| (region_of(t), t));
         }
         let costs: Vec<u64> = groups.iter().map(|&(_, s, e)| (e - s) as u64).collect();
         let ranges = par::split_by_cost(&costs, par.effective_jobs());
@@ -574,7 +539,7 @@ impl<'p> Solver<'p> {
         }
         // Deterministic merge: every target lives on exactly one worker,
         // so sorting gives one total ascending intern order whatever the
-        // partition (contiguous, region-seeded, or otherwise).
+        // partition.
         all_changed.sort_unstable_by_key(|&(t, _)| t);
         for (t, set) in all_changed {
             self.pts[t] = self.store.intern(&set);
@@ -1154,62 +1119,6 @@ mod tests {
                 assert!(wave.stats.waves > 0);
                 assert_eq!(wave.stats.par_workers, jobs);
             }
-        }
-    }
-
-    #[test]
-    fn region_seeded_waves_match_cost_only_sharding_exactly() {
-        let prog = parse_program(
-            r#"
-            global @table
-            func @rec(%n) {
-            entry:
-              %l = load %n
-              %r = call @rec(%l)
-              ret %r
-            }
-            func @g(%y) {
-            entry:
-              %h = alloc heap GH
-              ret %h
-            }
-            func @main() {
-            entry:
-              %p = alloc stack A
-              %h = alloc heap H
-              store %h, %p
-              %x = call @rec(%p)
-              %s = alloc stack S fields 3
-              %f1 = gep %s, 1
-              store %h, %f1
-              %q = alloc stack B
-              %h2 = alloc heap H2
-              store %h2, %q
-              %y2 = load %q
-              %fp0 = funaddr @rec
-              store %fp0, @table
-              %fp1 = funaddr @g
-              store %fp1, @table
-              %fp = load @table
-              %ic = icall %fp(%p)
-              ret
-            }
-            "#,
-        )
-        .unwrap();
-        let regions = crate::unify::analyze_unify(&prog).alias_regions(prog.objects.len());
-        for jobs in [2usize, 4, 8] {
-            let cfg = AndersenConfig::with_jobs(jobs);
-            let base = analyze_with_config(&prog, cfg);
-            let seeded = analyze_with_config_regions(&prog, cfg, &regions);
-            assert_same_result(&prog, &base, &seeded, &format!("jobs={jobs}"));
-            // Region seeding is a scheduling hint: the internal run must
-            // match exactly, not just the fixpoint.
-            assert_eq!(base.stats.waves, seeded.stats.waves);
-            assert_eq!(base.stats.pops, seeded.stats.pops);
-            assert_eq!(base.stats.propagations, seeded.stats.propagations);
-            assert!(!base.stats.region_seeded);
-            assert!(seeded.stats.region_seeded);
         }
     }
 

@@ -52,16 +52,6 @@
 //! Disabling the flag yields the classic full-oversharing analysis (the
 //! `steensgaard` tier), giving the four-tier precision chain
 //! `steensgaard ⊇ unify ⊇ andersen ⊇ flow-sensitive`.
-//!
-//! # Alias regions
-//!
-//! [`UnifyResult::alias_regions`] derives *provably disjoint alias
-//! regions* from the solution: objects co-occurring in any class's
-//! points-to set are placed in one region. Every points-to set any
-//! sound tier computes is a subset of a unify set and therefore lies
-//! entirely inside one region — which is what lets the regions seed
-//! `--jobs` sharding for the Andersen wave schedule and object-
-//! partitioned versioning without any cross-shard communication.
 
 use crate::callgraph::CallGraph;
 use crate::pag::{CallSiteId, Constraint, Pag};
@@ -143,7 +133,6 @@ pub struct UnifyStats {
 pub struct UnifyResult {
     /// PAG node index → dense class id.
     class_of: Vec<u32>,
-    store: PtsStore<ObjId>,
     /// Flat read-back cache for the per-class sets the API lends out.
     flat: FlatReader<ObjId>,
     /// Per-class points-to set.
@@ -172,92 +161,6 @@ impl UnifyResult {
     pub fn class_count(&self) -> usize {
         self.pts.len()
     }
-
-    /// Derives the disjoint alias regions of the solution (see the
-    /// module docs). `object_count` must be `prog.objects.len()` for
-    /// the analysed program.
-    pub fn alias_regions(&self, object_count: usize) -> AliasRegions {
-        // Union-find over objects: co-occurrence in any class's set
-        // merges. Iterating classes in id order keeps region numbering
-        // deterministic.
-        let mut parent: Vec<u32> = (0..object_count as u32).collect();
-        fn find(parent: &mut [u32], mut n: usize) -> usize {
-            while parent[n] as usize != n {
-                parent[n] = parent[parent[n] as usize];
-                n = parent[n] as usize;
-            }
-            n
-        }
-        let mut seen = vec![false; object_count];
-        for &id in &self.pts {
-            let mut anchor: Option<usize> = None;
-            for o in self.store.iter_set(id) {
-                seen[o.index()] = true;
-                match anchor {
-                    None => anchor = Some(find(&mut parent, o.index())),
-                    Some(a) => {
-                        let r = find(&mut parent, o.index());
-                        if r != a {
-                            // Keep the smaller root so region anchors
-                            // are stable in ascending object order.
-                            let (lo, hi) = if r < a { (r, a) } else { (a, r) };
-                            parent[hi] = lo as u32;
-                            anchor = Some(lo);
-                        }
-                    }
-                }
-            }
-        }
-        // Compress roots of pointed-to objects into dense region ids in
-        // ascending root order.
-        let mut region_of_object = vec![AliasRegions::NONE; object_count];
-        let mut next = 0u32;
-        let mut region_of_root = vec![AliasRegions::NONE; object_count];
-        for o in 0..object_count {
-            if !seen[o] {
-                continue;
-            }
-            let r = find(&mut parent, o);
-            if region_of_root[r] == AliasRegions::NONE {
-                region_of_root[r] = next;
-                next += 1;
-            }
-            region_of_object[o] = region_of_root[r];
-        }
-        // Every node's set lies in exactly one region (or none).
-        let region_of_node = self
-            .class_of
-            .iter()
-            .map(|&c| {
-                self.store
-                    .iter_set(self.pts[c as usize])
-                    .next()
-                    .map_or(AliasRegions::NONE, |o| region_of_object[o.index()])
-            })
-            .collect();
-        AliasRegions { region_of_object, region_of_node, region_count: next as usize }
-    }
-}
-
-/// Disjoint alias regions derived from a unification solution: two
-/// objects share a region iff some pointer may point to both (under
-/// the coarsest sound tier), so any sound analysis's points-to set —
-/// and therefore any set union a parallel schedule performs — stays
-/// within one region.
-#[derive(Debug, Clone)]
-pub struct AliasRegions {
-    /// Region per object; [`AliasRegions::NONE`] if nothing points to it.
-    pub region_of_object: Vec<u32>,
-    /// Region of each PAG node's points-to set; [`AliasRegions::NONE`]
-    /// for nodes with empty sets (cost-only scheduling applies there).
-    pub region_of_node: Vec<u32>,
-    /// Number of distinct regions.
-    pub region_count: usize,
-}
-
-impl AliasRegions {
-    /// Marker for "no region": empty set / never pointed to.
-    pub const NONE: u32 = u32::MAX;
 }
 
 /// Runs the unification analysis with the default (no-oversharing)
@@ -700,7 +603,6 @@ impl<'p> UnifySolver<'p> {
         let flat = FlatReader::new(&store, pts.iter().copied());
         UnifyResult {
             class_of: class_of.to_vec(),
-            store,
             flat,
             pts,
             value_count: prog.values.len(),
@@ -958,53 +860,6 @@ mod tests {
         let res = analyze_unify(&prog);
         for (v, _) in prog.values.iter_enumerated() {
             assert!(res.value_pts(v).is_empty());
-        }
-        let regions = res.alias_regions(prog.objects.len());
-        assert_eq!(regions.region_count, 0);
-    }
-
-    #[test]
-    fn alias_regions_are_disjoint_and_cover_every_set() {
-        let prog = parse_program(
-            r#"
-            func @main() {
-            entry:
-              %p = alloc stack A
-              %q = alloc stack B
-              %h1 = alloc heap H1
-              %h2 = alloc heap H2
-              %h3 = alloc heap H3
-              store %h1, %p
-              store %h2, %p
-              store %h3, %q
-              %x = load %p
-              %y = load %q
-              ret
-            }
-            "#,
-        )
-        .unwrap();
-        let res = analyze_unify(&prog);
-        let regions = res.alias_regions(prog.objects.len());
-        assert!(regions.region_count >= 1);
-        // Every class's set lies within exactly one region.
-        for (v, _) in prog.values.iter_enumerated() {
-            let set = res.value_pts(v);
-            let rs: HashSet<u32> =
-                set.iter().map(|o| regions.region_of_object[o.index()]).collect();
-            assert!(rs.len() <= 1, "value {v:?} set spans regions {rs:?}");
-            if let Some(&r) = rs.iter().next() {
-                assert_ne!(r, AliasRegions::NONE);
-                assert_eq!(regions.region_of_node[v.index()], r);
-            }
-        }
-        // H1 and H2 co-occur in pts(p): same region. The Andersen sets
-        // are subsets of unify sets, so they respect regions too.
-        let ander = analyze(&prog);
-        for (v, _) in prog.values.iter_enumerated() {
-            let rs: HashSet<u32> =
-                ander.value_pts(v).iter().map(|o| regions.region_of_object[o.index()]).collect();
-            assert!(rs.len() <= 1, "andersen set for {v:?} spans regions {rs:?}");
         }
     }
 

@@ -12,6 +12,7 @@
 use vsfs_checkers::{
     load_corpus, render_findings, run_checkers, AndersenView, CheckerCase, FlowView,
 };
+use vsfs_core::{solve, IncrementalOptions, SolverKind};
 use vsfs_ir::Program;
 
 fn corpus() -> Vec<CheckerCase> {
@@ -62,7 +63,8 @@ fn findings_identical_across_solvers_and_jobs() {
         let sfs = vsfs_core::run_sfs(&p.prog, &p.aux, &p.mssa, &p.svfg);
         let reference = run_checkers(&p.prog, &p.svfg, &FlowView(&sfs));
         for jobs in [1usize, 2, 8] {
-            let vsfs = vsfs_core::run_vsfs_jobs(&p.prog, &p.aux, &p.mssa, &p.svfg, jobs);
+            let opts = IncrementalOptions { solver: SolverKind::Vsfs, jobs, ..Default::default() };
+            let vsfs = solve(&p.prog, &p.aux, Some((&p.mssa, &p.svfg)), &opts, None).result;
             let findings = run_checkers(&p.prog, &p.svfg, &FlowView(&vsfs));
             assert_eq!(
                 findings, reference,
@@ -82,12 +84,14 @@ fn region_memo_on_off_results_bit_identical() {
     let on = vsfs_core::SolveConfig::default();
     for case in corpus() {
         let p = pipeline(&case.source);
-        for (name, run) in [
-            ("sfs", vsfs_core::run_sfs_configured as fn(_, _, _, _, _) -> _),
-            ("vsfs", vsfs_core::run_vsfs_configured),
-        ] {
-            let base = run(&p.prog, &p.aux, &p.mssa, &p.svfg, off);
-            let memo = run(&p.prog, &p.aux, &p.mssa, &p.svfg, on);
+        for solver in [SolverKind::Sfs, SolverKind::Vsfs] {
+            let name = solver.name();
+            let run = |config| {
+                let opts = IncrementalOptions { solver, config, ..Default::default() };
+                solve(&p.prog, &p.aux, Some((&p.mssa, &p.svfg)), &opts, None).result
+            };
+            let base = run(off);
+            let memo = run(on);
             assert_eq!(base.stats.scc_solves_skipped, 0, "{}/{name}: memo off", case.name);
             if let Some(diff) = vsfs_core::precision_diff(&p.prog, &base, &memo) {
                 panic!("{}/{name}: memo on diverges from memo off: {diff}", case.name);

@@ -26,11 +26,6 @@
 //!                      `unify` (equality-based unification — the
 //!                      coarsest, fastest tier; builds no memory SSA
 //!                      or SVFG)
-//!   --pre unify|none   run the unification pre-analysis first and seed
-//!                      the parallel phases with its disjoint alias
-//!                      regions (Andersen wave sharding; VSFS
-//!                      object-partitioned versioning). Results are
-//!                      bit-identical with and without the seed.
 //!   --ander            deprecated alias for `--solver ander`
 //!   --fspta            alias for `--solver sfs`
 //!   --vfspta           alias for `--solver vsfs`
@@ -109,7 +104,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use vsfs_adt::govern::{Budget, CancelToken, Completion, DegradeReason, Governor};
 use vsfs_adt::mem::CountingAlloc;
-use vsfs_core::{FlowSensitiveResult, GovernedAnalysis, SolveOrder, SolverKind};
+use vsfs_core::{FlowSensitiveResult, IncrementalOptions, SolveOrder, SolverKind};
 use vsfs_ir::Program;
 use vsfs_testkit::FaultPlan;
 
@@ -128,9 +123,6 @@ enum Analysis {
 #[derive(Debug)]
 struct Options {
     analysis: Analysis,
-    /// `--pre unify`: seed the sharded phases with unification alias
-    /// regions.
-    pre_unify: bool,
     input: Input,
     print_pts: bool,
     print_callgraph: bool,
@@ -179,7 +171,7 @@ enum Input {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: vsfs [--solver ander|dense|sfs|vsfs|cfgfree|unify] [--pre unify|none] \
+        "usage: vsfs [--solver ander|dense|sfs|vsfs|cfgfree|unify] \
          [--jobs N] [--order fifo|topo] [--scc-memo on|off] \
          [--time-budget SECS] [--step-budget N] [--mem-budget MIB] [--inject-fault KIND:SEED] \
          [--print-pts] [--print-callgraph] [--precision-report] [--dot-svfg FILE] \
@@ -204,7 +196,7 @@ fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
     }
 }
 
-/// Parses a named-choice flag (`--solver`, `--order`, `--pre`, in both
+/// Parses a named-choice flag (`--solver`, `--order`, `--scc-memo`, in both
 /// the driver and `serve`): one place constructs the typed unknown-name
 /// error, so every such flag reports a missing value, the offending
 /// name, and the accepted names the same way, exiting with code 1.
@@ -223,7 +215,6 @@ fn name_value<T>(
 
 fn parse_args() -> Options {
     let mut analysis = Analysis::Flow(SolverKind::default());
-    let mut pre_unify = false;
     let mut input = None;
     let mut print_pts = false;
     let mut print_callgraph = false;
@@ -286,14 +277,6 @@ fn parse_args() -> Options {
                     },
                 );
             }
-            "--pre" => {
-                pre_unify =
-                    name_value("--pre", args.next(), "`unify` or `none`", |name| match name {
-                        "unify" => Some(true),
-                        "none" => Some(false),
-                        _ => None,
-                    });
-            }
             "--ander" => {
                 eprintln!("warning: --ander is deprecated; use `--solver ander`");
                 analysis = Analysis::Andersen;
@@ -330,7 +313,6 @@ fn parse_args() -> Options {
     }
     Options {
         analysis,
-        pre_unify,
         input: input.unwrap_or_else(|| usage()),
         print_pts,
         print_callgraph,
@@ -440,18 +422,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(1);
     }
-    if opts.pre_unify && opts.governed() {
-        eprintln!(
-            "error: --pre unify seeds the ungoverned sharded phases and is not \
-             budget-aware; drop the budget flags or the pre-analysis"
-        );
-        return ExitCode::from(1);
-    }
-    if opts.governed() {
-        run_governed(&opts, &prog)
-    } else {
-        run_plain(&opts, &prog)
-    }
+    run(&opts, &prog)
 }
 
 /// `vsfs serve [--socket PATH] [--corpus DIR] [--solver NAME]
@@ -484,7 +455,7 @@ fn run_serve(args: Vec<String>) -> ExitCode {
                 config.max_request_bytes = flag_value("--max-request-bytes", it.next())
             }
             "--order" => {
-                config.opts.order =
+                config.opts.config.order =
                     name_value("--order", it.next(), "`fifo` or `topo`", SolveOrder::parse);
             }
             "--solver" => {
@@ -649,31 +620,37 @@ fn check_annotations(
     ann
 }
 
-/// The `--stats` line for the `--pre unify` pre-analysis.
-fn print_pre_stats(unify: &vsfs_andersen::UnifyResult, regions: &vsfs_andersen::AliasRegions) {
-    println!(
-        "pre-analysis:      {} ({:.3}s, {} classes, {} alias regions)",
-        unify.config.tier_name(),
-        unify.stats.seconds,
-        unify.stats.classes,
-        regions.region_count
-    );
-}
-
-fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
-    // `--pre unify`: the unification pre-analysis runs first and its
-    // provably-disjoint alias regions seed every sharded phase below.
-    // The seed is a pure scheduling hint — results are bit-identical.
-    let pre = opts.pre_unify.then(|| {
-        let unify = vsfs_andersen::analyze_unify(prog);
-        let regions = unify.alias_regions(prog.objects.len());
-        (unify, regions)
+/// Runs the pipeline: Andersen, the staged graphs when needed, then
+/// [`vsfs_core::solve`]. Any budget flag makes the run governed: every
+/// stage runs under a [`Governor`], a one-line JSON completion record
+/// is printed, and the outcome maps onto the exit-code protocol
+/// (0 complete / 2 degraded-with-fallback / 1 error).
+fn run(opts: &Options, prog: &Program) -> ExitCode {
+    // One deadline token bounds every stage of a governed run.
+    let cancel = opts.governed().then(|| match opts.time_budget {
+        Some(secs) => CancelToken::with_deadline(Instant::now() + Duration::from_secs_f64(secs)),
+        None => CancelToken::new(),
     });
     let t0 = Instant::now();
     let config = vsfs_andersen::AndersenConfig::with_jobs(opts.jobs);
-    let aux = match &pre {
-        Some((_, regions)) => vsfs_andersen::analyze_with_config_regions(prog, config, regions),
+    let aux = match &cancel {
         None => vsfs_andersen::analyze_with_config(prog, config),
+        Some(cancel) => {
+            let aux_gov = Governor::with_cancel(stage_budget(opts, false), cancel.clone());
+            let out = vsfs_andersen::analyze_governed(prog, config, &aux_gov);
+            if let Completion::Degraded(reason) = &out.completion {
+                // Rung 3 of the soundness ladder. A partial Andersen
+                // fixpoint is an under-approximation — unsound to report —
+                // but the unification tier's least solution
+                // over-approximates every finer tier, so the run degrades
+                // to it instead of erroring. The fallback runs ungoverned:
+                // the budget already tripped, a partial unification result
+                // would be just as unsound, and the unification solve costs
+                // a small fraction of the Andersen stage that exhausted it.
+                return run_unify_rung(opts, prog, reason);
+            }
+            out.result
+        }
     };
     let aux_time = t0.elapsed();
 
@@ -685,11 +662,11 @@ fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
             print_callgraph_edges(prog, &aux.callgraph.edges().collect::<Vec<_>>());
         }
         if opts.stats {
-            if let Some((unify, regions)) = &pre {
-                print_pre_stats(unify, regions);
-            }
             println!("andersen: {:.3}s, {:?}", aux_time.as_secs_f64(), aux.stats);
             println!("peak heap: {:.2} MiB", vsfs_adt::mem::peak_bytes() as f64 / (1 << 20) as f64);
+        }
+        if cancel.is_some() {
+            println!("{{\"completion\":\"complete\",\"mode\":\"flow-insensitive\"}}");
         }
         return ExitCode::SUCCESS;
     }
@@ -714,55 +691,28 @@ fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
         }
     }
 
-    let result: FlowSensitiveResult = match kind {
-        SolverKind::Sfs => {
-            let (mssa, svfg) = staged.as_ref().expect("sfs is a staged solver");
-            vsfs_core::run_sfs_configured(prog, &aux, mssa, svfg, opts.config())
-        }
-        SolverKind::Vsfs => {
-            let (mssa, svfg) = staged.as_ref().expect("vsfs is a staged solver");
-            match &pre {
-                Some((_, regions)) => {
-                    let tables = vsfs_core::VersionTables::build_with_jobs_regions(
-                        prog,
-                        mssa,
-                        svfg,
-                        opts.jobs,
-                        Some(&regions.region_of_object),
-                    );
-                    vsfs_core::run_vsfs_with_tables_configured(
-                        prog,
-                        &aux,
-                        mssa,
-                        svfg,
-                        tables,
-                        opts.config(),
-                    )
-                }
-                None => vsfs_core::run_vsfs_jobs_configured(
-                    prog,
-                    &aux,
-                    mssa,
-                    svfg,
-                    opts.jobs,
-                    opts.config(),
-                ),
-            }
-        }
-        SolverKind::Dense => vsfs_core::run_dense(prog, &aux),
-        SolverKind::CfgFree => vsfs_core::run_cfgfree_ordered(prog, &aux, opts.order()),
-        SolverKind::Unify => match &pre {
-            // `--pre unify --solver unify`: the pre-analysis result IS
-            // the requested tier.
-            Some((unify, _)) => FlowSensitiveResult::from_unify(prog, unify),
-            None => FlowSensitiveResult::from_unify(prog, &vsfs_andersen::analyze_unify(prog)),
-        },
-    };
+    // A governed flow-sensitive stage gets the full budget plus any
+    // injected fault. Its governor is created here, after the earlier
+    // stages, so its memory cap counts only what this stage allocates.
+    // If it degrades, the Andersen result (a sound over-approximation of
+    // any flow-sensitive result) is reported instead.
+    let fs_gov = cancel.map(|cancel| {
+        Governor::with_cancel(stage_budget(opts, true), cancel)
+            .with_fault(opts.inject_fault.as_ref().and_then(FaultPlan::spec))
+    });
+    let request = IncrementalOptions { solver: kind, config: opts.config(), jobs: opts.jobs };
+    let ga = vsfs_core::solve(
+        prog,
+        &aux,
+        staged.as_ref().map(|(mssa, svfg)| (mssa, svfg)),
+        &request,
+        fs_gov.as_ref(),
+    );
 
-    report_result(opts, prog, &aux, &result);
+    report_result(opts, prog, &aux, &ga.result);
     if opts.check {
         let (mssa, svfg) = staged.as_ref().expect("--check builds the staged graphs");
-        let findings = match run_check(opts, prog, &aux, svfg, &result) {
+        let findings = match run_check(opts, prog, &aux, svfg, &ga.result) {
             Ok(findings) => findings,
             Err(code) => return code,
         };
@@ -772,92 +722,129 @@ fn run_plain(opts: &Options, prog: &Program) -> ExitCode {
         }
     }
     if opts.stats {
-        let s = &result.stats;
-        println!("solver:            {}", kind.name());
-        println!("jobs:              {}", opts.jobs);
-        if kind != SolverKind::Dense && kind != SolverKind::Unify {
-            println!("order:             {}", opts.order().name());
-        }
-        if let Some((unify, regions)) = &pre {
-            print_pre_stats(unify, regions);
-        }
-        println!(
-            "andersen:          {:.3}s{}",
-            aux_time.as_secs_f64(),
-            if aux.stats.region_seeded { " (region-seeded waves)" } else { "" }
-        );
-        if staged.is_some() {
-            println!("mssa + svfg:       {:.3}s", build_time.as_secs_f64());
-        }
-        if kind == SolverKind::Vsfs {
-            println!(
-                "versioning:        {:.3}s ({} prelabels, {} versions, {} reliance edges)",
-                s.versioning_seconds, s.prelabels, s.versions, s.reliance_edges
-            );
-        }
-        println!("main phase:        {:.3}s", s.solve_seconds);
-        println!("node pops:         {}", s.node_pops);
-        if kind == SolverKind::Vsfs {
-            println!("slot pops:         {}", s.slot_pops);
-        }
-        println!("pushes suppressed: {}", s.pushes_suppressed);
-        println!("unions attempted:  {}", s.object_propagations);
-        println!("unions avoided:    {}", s.unions_avoided);
-        println!(
-            "delta bytes:       {} shipped vs {} full ({:.1}% saved)",
-            s.delta_bytes,
-            s.full_bytes,
-            if s.full_bytes > 0 {
-                100.0 * (1.0 - s.delta_bytes as f64 / s.full_bytes as f64)
-            } else {
-                0.0
-            }
-        );
-        println!("stored object sets:{}", s.stored_object_sets);
-        let st = &s.store;
-        println!(
-            "pts store:         {} unique sets, {:.2} MiB ({:.2} MiB flat-equivalent)",
-            st.unique_sets,
-            st.unique_set_bytes as f64 / (1 << 20) as f64,
-            st.flat_equiv_bytes as f64 / (1 << 20) as f64
-        );
-        println!(
-            "chunk store:       {} unique chunks, {:.2} MiB, {} union hits, {} misses",
-            st.unique_chunks,
-            st.chunk_bytes as f64 / (1 << 20) as f64,
-            st.chunk_union_hits,
-            st.chunk_union_misses
-        );
-        println!(
-            "union memo:        {} hits, {} misses, {} shortcuts ({:.1}% hit rate)",
-            st.union_hits,
-            st.union_misses,
-            st.union_shortcuts,
-            100.0 * st.union_hit_rate()
-        );
-        println!("insert memo:       {} hits, {} misses", st.insert_hits, st.insert_misses);
-        println!("would-change:      {} fast, {} slow", st.would_change_fast, st.would_change_slow);
-        println!("strong updates:    {}", s.strong_updates);
-        println!("calls activated:   {}", s.calls_activated);
-        if kind == SolverKind::Sfs || kind == SolverKind::Vsfs {
-            println!(
-                "scc memo:          {} fingerprint hits, {} solves skipped{}",
-                s.scc_fingerprint_hits,
-                s.scc_solves_skipped,
-                if opts.scc_memo { "" } else { " (disabled)" }
-            );
-        }
-        if let Some((_, svfg)) = &staged {
-            println!(
-                "svfg: {} nodes, {} direct edges, {} indirect edges",
-                svfg.node_count(),
-                svfg.direct_edge_count(),
-                svfg.indirect_edge_count()
-            );
-        }
-        println!("peak heap: {:.2} MiB", vsfs_adt::mem::peak_bytes() as f64 / (1 << 20) as f64);
+        let staged = staged.as_ref().map(|(_, svfg)| (svfg, build_time));
+        print_stats(opts, kind, aux_time, staged, &ga.result.stats);
     }
-    ExitCode::SUCCESS
+    if fs_gov.is_none() {
+        return ExitCode::SUCCESS;
+    }
+    match &ga.completion {
+        Completion::Complete => {
+            println!("{{\"completion\":\"complete\",\"mode\":\"{}\"}}", ga.mode);
+            ExitCode::SUCCESS
+        }
+        Completion::Degraded(reason) => {
+            println!(
+                "{{\"completion\":\"degraded\",\"mode\":\"{}\",\"stage\":\"{}\",\"reason\":\"{}\"}}",
+                ga.mode,
+                ga.degraded_stage.unwrap_or("unknown"),
+                reason.code()
+            );
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// The budget of one stage of a governed run. The auxiliary stage gets
+/// only the memory cap: step budgets are not schedule-portable across
+/// Andersen's wave/sequential modes. The flow-sensitive stage also gets
+/// the step budget. Both share the run's deadline token.
+fn stage_budget(opts: &Options, flow_sensitive: bool) -> Budget {
+    let mut budget = Budget::unlimited();
+    if let Some(mib) = opts.mem_budget_mib {
+        budget = budget.with_mem_bytes(mib << 20);
+    }
+    if let (true, Some(steps)) = (flow_sensitive, opts.step_budget) {
+        budget = budget.with_steps(steps);
+    }
+    budget
+}
+
+/// The `--stats` report of a flow-sensitive run. `staged` is the SVFG
+/// and the time it took to build, when the run built one.
+fn print_stats(
+    opts: &Options,
+    kind: SolverKind,
+    aux_time: Duration,
+    staged: Option<(&vsfs_svfg::Svfg, Duration)>,
+    s: &vsfs_core::SolveStats,
+) {
+    println!("solver:            {}", kind.name());
+    println!("jobs:              {}", opts.jobs);
+    if kind != SolverKind::Dense && kind != SolverKind::Unify {
+        println!("order:             {}", opts.order().name());
+    }
+    println!("andersen:          {:.3}s", aux_time.as_secs_f64());
+    if let Some((_, build_time)) = staged {
+        println!("mssa + svfg:       {:.3}s", build_time.as_secs_f64());
+    }
+    if kind == SolverKind::Vsfs {
+        println!(
+            "versioning:        {:.3}s ({} prelabels, {} versions, {} reliance edges)",
+            s.versioning_seconds, s.prelabels, s.versions, s.reliance_edges
+        );
+    }
+    println!("main phase:        {:.3}s", s.solve_seconds);
+    println!("node pops:         {}", s.node_pops);
+    if kind == SolverKind::Vsfs {
+        println!("slot pops:         {}", s.slot_pops);
+    }
+    println!("pushes suppressed: {}", s.pushes_suppressed);
+    println!("unions attempted:  {}", s.object_propagations);
+    println!("unions avoided:    {}", s.unions_avoided);
+    println!(
+        "delta bytes:       {} shipped vs {} full ({:.1}% saved)",
+        s.delta_bytes,
+        s.full_bytes,
+        if s.full_bytes > 0 {
+            100.0 * (1.0 - s.delta_bytes as f64 / s.full_bytes as f64)
+        } else {
+            0.0
+        }
+    );
+    println!("stored object sets:{}", s.stored_object_sets);
+    let st = &s.store;
+    println!(
+        "pts store:         {} unique sets, {:.2} MiB ({:.2} MiB flat-equivalent)",
+        st.unique_sets,
+        st.unique_set_bytes as f64 / (1 << 20) as f64,
+        st.flat_equiv_bytes as f64 / (1 << 20) as f64
+    );
+    println!(
+        "chunk store:       {} unique chunks, {:.2} MiB, {} union hits, {} misses",
+        st.unique_chunks,
+        st.chunk_bytes as f64 / (1 << 20) as f64,
+        st.chunk_union_hits,
+        st.chunk_union_misses
+    );
+    println!(
+        "union memo:        {} hits, {} misses, {} shortcuts ({:.1}% hit rate)",
+        st.union_hits,
+        st.union_misses,
+        st.union_shortcuts,
+        100.0 * st.union_hit_rate()
+    );
+    println!("insert memo:       {} hits, {} misses", st.insert_hits, st.insert_misses);
+    println!("would-change:      {} fast, {} slow", st.would_change_fast, st.would_change_slow);
+    println!("strong updates:    {}", s.strong_updates);
+    println!("calls activated:   {}", s.calls_activated);
+    if kind == SolverKind::Sfs || kind == SolverKind::Vsfs {
+        println!(
+            "scc memo:          {} fingerprint hits, {} solves skipped{}",
+            s.scc_fingerprint_hits,
+            s.scc_solves_skipped,
+            if opts.scc_memo { "" } else { " (disabled)" }
+        );
+    }
+    if let Some((svfg, _)) = staged {
+        println!(
+            "svfg: {} nodes, {} direct edges, {} indirect edges",
+            svfg.node_count(),
+            svfg.direct_edge_count(),
+            svfg.indirect_edge_count()
+        );
+    }
+    println!("peak heap: {:.2} MiB", vsfs_adt::mem::peak_bytes() as f64 / (1 << 20) as f64);
 }
 
 /// Builds the memory-SSA and SVFG stages when the solver (or an output
@@ -914,150 +901,6 @@ fn run_unify_rung(opts: &Options, prog: &Program, reason: &DegradeReason) -> Exi
         reason.code()
     );
     ExitCode::from(2)
-}
-
-/// Runs under resource governance: budgets, cooperative cancellation and
-/// (optionally) fault injection. Prints a one-line JSON completion record
-/// and maps the outcome onto the exit-code protocol (0 complete /
-/// 2 degraded-with-fallback / 1 error).
-fn run_governed(opts: &Options, prog: &Program) -> ExitCode {
-    let cancel = match opts.time_budget {
-        Some(secs) => CancelToken::with_deadline(Instant::now() + Duration::from_secs_f64(secs)),
-        None => CancelToken::new(),
-    };
-    let mem_bytes = opts.mem_budget_mib.map(|mib| mib << 20);
-
-    // Auxiliary stage: only the deadline and the memory cap apply — step
-    // budgets are not schedule-portable across Andersen's wave/sequential
-    // modes, and a partially solved Andersen is an under-approximation
-    // (unsound), so there is no fallback if this stage degrades.
-    let mut aux_budget = Budget::unlimited();
-    if let Some(bytes) = mem_bytes {
-        aux_budget = aux_budget.with_mem_bytes(bytes);
-    }
-    let aux_gov = Governor::with_cancel(aux_budget, cancel.clone());
-    let aux_out = vsfs_andersen::analyze_governed(
-        prog,
-        vsfs_andersen::AndersenConfig::with_jobs(opts.jobs),
-        &aux_gov,
-    );
-    if let Completion::Degraded(reason) = &aux_out.completion {
-        // Rung 3 of the soundness ladder. A partial Andersen fixpoint is
-        // an under-approximation — unsound to report — but the
-        // unification tier's least solution over-approximates every
-        // finer tier, so the run degrades to it instead of erroring.
-        // The fallback runs ungoverned: the budget already tripped, a
-        // partial unification result would be just as unsound, and the
-        // unification solve costs a small fraction of the Andersen stage
-        // that exhausted it.
-        return run_unify_rung(opts, prog, reason);
-    }
-    let aux = aux_out.result;
-
-    if opts.analysis == Analysis::Andersen {
-        if opts.print_pts {
-            print_value_pts(prog, |v| obj_names(prog, aux.value_pts(v)));
-        }
-        if opts.print_callgraph {
-            print_callgraph_edges(prog, &aux.callgraph.edges().collect::<Vec<_>>());
-        }
-        println!("{{\"completion\":\"complete\",\"mode\":\"flow-insensitive\"}}");
-        return ExitCode::SUCCESS;
-    }
-
-    let Analysis::Flow(kind) = opts.analysis else { unreachable!("handled above") };
-    let staged = build_staged(opts, prog, &aux, kind);
-    if !opts.check {
-        if let Some((_, svfg)) = &staged {
-            if let Some(code) = write_dot(opts, prog, svfg, &vsfs_svfg::DotAnnotations::default()) {
-                return code;
-            }
-        }
-    }
-
-    // Flow-sensitive stage: full budget plus any injected fault. If it
-    // degrades, the Andersen result (a sound over-approximation of any
-    // flow-sensitive result) is reported instead.
-    let mut fs_budget = Budget::unlimited();
-    if let Some(steps) = opts.step_budget {
-        fs_budget = fs_budget.with_steps(steps);
-    }
-    if let Some(bytes) = mem_bytes {
-        fs_budget = fs_budget.with_mem_bytes(bytes);
-    }
-    let fs_gov = Governor::with_cancel(fs_budget, cancel.clone())
-        .with_fault(opts.inject_fault.as_ref().and_then(FaultPlan::spec));
-
-    let ga: GovernedAnalysis = match kind {
-        SolverKind::Sfs => {
-            let (mssa, svfg) = staged.as_ref().expect("sfs is a staged solver");
-            vsfs_core::run_sfs_governed_configured(prog, &aux, mssa, svfg, &fs_gov, opts.config())
-        }
-        SolverKind::Vsfs => {
-            let (mssa, svfg) = staged.as_ref().expect("vsfs is a staged solver");
-            vsfs_core::run_vsfs_governed_configured(
-                prog,
-                &aux,
-                mssa,
-                svfg,
-                opts.jobs,
-                &fs_gov,
-                opts.config(),
-            )
-        }
-        SolverKind::Dense => vsfs_core::run_dense_governed(prog, &aux, &fs_gov),
-        SolverKind::CfgFree => {
-            vsfs_core::run_cfgfree_governed_ordered(prog, &aux, &fs_gov, opts.order())
-        }
-        SolverKind::Unify => {
-            // A partial unification fixpoint is unsound, so a governed
-            // unify run that trips cannot be served as-is. The complete
-            // Andersen aux is already in hand and over-approximates
-            // every finer answer, so it stands in — one rung *up* in
-            // precision from what was asked for, and still sound.
-            let out = vsfs_andersen::analyze_unify_governed(
-                prog,
-                vsfs_andersen::UnifyConfig::default(),
-                &fs_gov,
-            );
-            match out.completion {
-                Completion::Complete => {
-                    GovernedAnalysis::complete(FlowSensitiveResult::from_unify(prog, &out.result))
-                }
-                Completion::Degraded(reason) => {
-                    GovernedAnalysis::fallback(prog, &aux, "solve", reason)
-                }
-            }
-        }
-    };
-
-    report_result(opts, prog, &aux, &ga.result);
-    if opts.check {
-        let (mssa, svfg) = staged.as_ref().expect("--check builds the staged graphs");
-        let findings = match run_check(opts, prog, &aux, svfg, &ga.result) {
-            Ok(findings) => findings,
-            Err(code) => return code,
-        };
-        let ann = check_annotations(opts, prog, mssa, svfg, &findings);
-        if let Some(code) = write_dot(opts, prog, svfg, &ann) {
-            return code;
-        }
-    }
-    match &ga.completion {
-        Completion::Complete => {
-            println!("{{\"completion\":\"complete\",\"mode\":\"{}\"}}", ga.mode);
-            ExitCode::SUCCESS
-        }
-        Completion::Degraded(reason) => {
-            println!(
-                "{{\"completion\":\"degraded\",\"mode\":\"{}\",\"stage\":\"{}\",\"reason\":\"{}\"}}",
-                ga.mode,
-                ga.degraded_stage.unwrap_or("unknown"),
-                reason.code()
-            );
-            ExitCode::from(2)
-        }
-    }
 }
 
 fn write_dot(

@@ -294,20 +294,12 @@ fn unify_solver_prints_a_sound_coarse_result() {
 }
 
 #[test]
-fn unknown_solver_and_pre_values_share_the_typed_error_shape() {
+fn unknown_solver_value_gets_the_typed_error_shape() {
     let out = vsfs(&["--solver", "bogus", "--corpus", "strong_update"]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("invalid value `bogus` for --solver"), "{stderr}");
     assert!(stderr.contains("`unify`"), "{stderr}");
-
-    let out = vsfs(&["--pre", "steensgaard", "--corpus", "strong_update"]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("invalid value `steensgaard` for --pre (expected `unify` or `none`)"),
-        "{stderr}"
-    );
 }
 
 #[test]
@@ -337,43 +329,6 @@ fn cold_only_solvers_never_stage_the_graphs() {
         assert!(stdout.contains("mssa + svfg"), "{solver} must stage: {stdout}");
         assert!(stdout.contains("svfg:"), "{solver} must stage: {stdout}");
     }
-}
-
-#[test]
-fn pre_analysis_seeding_is_a_pure_scheduling_hint() {
-    // Same program, with and without --pre unify, across job counts:
-    // byte-identical analysis output.
-    let base = vsfs(&["--corpus", "fptr_dispatch", "--print-pts", "--print-callgraph"]);
-    assert!(base.status.success());
-    for jobs in ["1", "4"] {
-        let seeded = vsfs(&[
-            "--pre",
-            "unify",
-            "--jobs",
-            jobs,
-            "--corpus",
-            "fptr_dispatch",
-            "--print-pts",
-            "--print-callgraph",
-        ]);
-        assert!(seeded.status.success(), "{seeded:?}");
-        assert_eq!(seeded.stdout, base.stdout, "jobs {jobs}: seeding changed the result");
-    }
-    // --stats names the pre-analysis and marks the seeded Andersen waves.
-    let out = vsfs(&["--pre", "unify", "--jobs", "4", "--corpus", "fptr_dispatch", "--stats"]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("pre-analysis:      unify"), "{stdout}");
-    assert!(stdout.contains("alias regions"), "{stdout}");
-    assert!(stdout.contains("region-seeded waves"), "{stdout}");
-}
-
-#[test]
-fn pre_with_budget_flags_is_rejected() {
-    let out = vsfs(&["--pre", "unify", "--step-budget", "5", "--corpus", "strong_update"]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--pre unify"), "{stderr}");
 }
 
 #[test]

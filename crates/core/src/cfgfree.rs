@@ -38,7 +38,7 @@
 //! the same monotone system as SFS/VSFS and is query-identical to
 //! them (enforced by `tests/equivalence.rs` and the CI solver gate).
 
-use crate::result::{FlowSensitiveResult, GovernedAnalysis, SolveStats};
+use crate::result::{FlowSensitiveResult, SolveStats};
 use crate::schedule::SolveOrder;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -57,45 +57,13 @@ const EMPTY: PtsId = PtsStore::<ObjId>::EMPTY;
 /// it takes no memory SSA and no SVFG — the Andersen result is the
 /// whole pipeline.
 pub fn run_cfgfree(prog: &Program, aux: &AndersenResult) -> FlowSensitiveResult {
-    run_cfgfree_ordered(prog, aux, SolveOrder::default())
+    solve_impl(prog, aux, None, SolveOrder::default()).0
 }
 
-/// [`run_cfgfree`] under an explicit worklist [`SolveOrder`]. The
-/// fixpoint is order-independent; only the visit counts change.
-pub fn run_cfgfree_ordered(
-    prog: &Program,
-    aux: &AndersenResult,
-    order: SolveOrder,
-) -> FlowSensitiveResult {
-    solve_impl(prog, aux, None, order).0
-}
-
-/// Runs the CFG-free solver under a [`Governor`]: one cooperative
-/// checkpoint per worklist pop. On a trip the returned
-/// [`GovernedAnalysis`] carries the sound Andersen fallback.
-pub fn run_cfgfree_governed(
-    prog: &Program,
-    aux: &AndersenResult,
-    governor: &Governor,
-) -> GovernedAnalysis {
-    run_cfgfree_governed_ordered(prog, aux, governor, SolveOrder::default())
-}
-
-/// [`run_cfgfree_governed`] with an explicit worklist [`SolveOrder`].
-pub fn run_cfgfree_governed_ordered(
-    prog: &Program,
-    aux: &AndersenResult,
-    governor: &Governor,
-    order: SolveOrder,
-) -> GovernedAnalysis {
-    let (result, completion) = solve_impl(prog, aux, Some(governor), order);
-    match completion {
-        Completion::Complete => GovernedAnalysis::complete(result),
-        Completion::Degraded(reason) => GovernedAnalysis::fallback(prog, aux, "solve", reason),
-    }
-}
-
-fn solve_impl(
+/// The CFG-free fixpoint under an explicit worklist [`SolveOrder`],
+/// optionally under a [`Governor`] (one cooperative checkpoint per
+/// worklist pop). Dispatched by [`crate::solve`].
+pub(crate) fn solve_impl(
     prog: &Program,
     aux: &AndersenResult,
     governor: Option<&Governor>,
@@ -936,8 +904,8 @@ mod tests {
         let prog = parse_program(src).unwrap();
         vsfs_ir::verify::verify(&prog).unwrap();
         let aux = vsfs_andersen::analyze(&prog);
-        let fifo = run_cfgfree_ordered(&prog, &aux, SolveOrder::Fifo);
-        let topo = run_cfgfree_ordered(&prog, &aux, SolveOrder::Topo);
+        let fifo = solve_impl(&prog, &aux, None, SolveOrder::Fifo).0;
+        let topo = solve_impl(&prog, &aux, None, SolveOrder::Topo).0;
         assert_eq!(crate::precision_diff(&prog, &fifo, &topo), None);
     }
 
@@ -958,7 +926,9 @@ mod tests {
         vsfs_ir::verify::verify(&prog).unwrap();
         let aux = vsfs_andersen::analyze(&prog);
         let governor = Governor::new(Budget::unlimited().with_steps(1));
-        let out = run_cfgfree_governed(&prog, &aux, &governor);
+        let opts =
+            crate::IncrementalOptions { solver: crate::SolverKind::CfgFree, ..Default::default() };
+        let out = crate::solve(&prog, &aux, None, &opts, Some(&governor));
         assert!(!out.is_complete());
         assert_eq!(out.mode, "flow-insensitive-fallback");
         // Sound: the fallback covers the complete answer.

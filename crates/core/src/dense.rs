@@ -19,7 +19,7 @@
 //! flow, so the result may be (soundly) *less* precise than SFS/VSFS:
 //! for every value, `pt_vsfs(v) ⊆ pt_dense(v) ⊆ pt_andersen(v)`.
 
-use crate::result::{FlowSensitiveResult, GovernedAnalysis, SolveStats};
+use crate::result::{FlowSensitiveResult, SolveStats};
 use std::collections::HashMap;
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, Governor};
@@ -37,23 +37,10 @@ pub fn run_dense(prog: &Program, aux: &AndersenResult) -> FlowSensitiveResult {
     solve_impl(prog, aux, None).0
 }
 
-/// Runs the dense solver under a [`Governor`]: one cooperative
-/// checkpoint per worklist pop, matching the staged solvers' protocol.
-/// On a trip the returned [`GovernedAnalysis`] carries the sound
-/// Andersen fallback.
-pub fn run_dense_governed(
-    prog: &Program,
-    aux: &AndersenResult,
-    governor: &Governor,
-) -> GovernedAnalysis {
-    let (result, completion) = solve_impl(prog, aux, Some(governor));
-    match completion {
-        Completion::Complete => GovernedAnalysis::complete(result),
-        Completion::Degraded(reason) => GovernedAnalysis::fallback(prog, aux, "solve", reason),
-    }
-}
-
-fn solve_impl(
+/// The dense fixpoint, optionally under a [`Governor`] (one cooperative
+/// checkpoint per worklist pop, matching the staged solvers' protocol).
+/// Dispatched by [`crate::solve`].
+pub(crate) fn solve_impl(
     prog: &Program,
     aux: &AndersenResult,
     governor: Option<&Governor>,

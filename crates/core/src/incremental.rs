@@ -60,19 +60,16 @@
 //! points-to relation and call graph, equal across incremental and
 //! from-scratch solves of the same text.
 
-use crate::cfgfree::{run_cfgfree_governed_ordered, run_cfgfree_ordered};
-use crate::dense::{run_dense, run_dense_governed};
 use crate::result::{FlowSensitiveResult, GovernedAnalysis};
-use crate::schedule::SolveOrder;
+use crate::schedule::SolveConfig;
 use crate::sfs::{run_sfs_seeded, SfsHarvest, SfsSeed};
-use crate::solver::SolverKind;
+use crate::solver::{solve, SolverKind};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use vsfs_adt::govern::{Completion, DegradeReason, Governor};
 use vsfs_adt::{IndexVec, PtsCarry, PtsId};
 use vsfs_andersen::{
-    analyze_governed, analyze_unify, analyze_unify_governed, analyze_with_config, AndersenConfig,
-    AndersenResult, UnifyConfig,
+    analyze_governed, analyze_unify, analyze_with_config, AndersenConfig, AndersenResult,
 };
 use vsfs_graph::{DiGraph, Sccs};
 use vsfs_ir::{Callee, FuncId, InstId, InstKind, ObjId, ObjKind, Program, ValueId};
@@ -86,7 +83,8 @@ use vsfs_svfg::{StableKeys, Svfg, SvfgNodeId, SvfgNodeKind};
 /// work at a small multiple of the final region's cost.
 const MAX_AUDIT_WAVES: usize = 4;
 
-/// Knobs for [`solve_program`]/[`resolve_edit`].
+/// The solve request: knobs for [`crate::solve`], [`solve_program`] and
+/// [`resolve_edit`].
 #[derive(Debug, Clone, Copy)]
 pub struct IncrementalOptions {
     /// Which flow-sensitive solver serves this program. Everything after
@@ -95,10 +93,13 @@ pub struct IncrementalOptions {
     /// SVFG-wave invalidation; cold-only solvers skip both and serve
     /// every edit by an exact cold re-solve.
     pub solver: SolverKind,
-    /// Worklist discipline of the flow-sensitive stage (results are
-    /// order-independent; only visit counts change).
-    pub order: SolveOrder,
-    /// Worker threads for the auxiliary Andersen stage.
+    /// Worklist order and region memo of the flow-sensitive stage
+    /// (results are identical under every configuration; only visit
+    /// counts change).
+    pub config: SolveConfig,
+    /// Worker threads for the auxiliary Andersen stage and for VSFS
+    /// versioning (`0` = all cores; results are identical for every
+    /// value).
     pub jobs: usize,
 }
 
@@ -107,7 +108,7 @@ impl Default for IncrementalOptions {
         // The server's historical engine is the staged SFS solver (the
         // seeded/incremental one); `SolverKind::default()` is the CLI's
         // batch default and intentionally differs.
-        IncrementalOptions { solver: SolverKind::Sfs, order: SolveOrder::default(), jobs: 1 }
+        IncrementalOptions { solver: SolverKind::Sfs, config: SolveConfig::default(), jobs: 1 }
     }
 }
 
@@ -427,7 +428,7 @@ pub(crate) fn solve_front(
         &front.aux,
         &staged.mssa,
         &staged.svfg,
-        opts.order.into(),
+        opts.config,
         fs_governor,
         None,
     );
@@ -442,48 +443,16 @@ pub(crate) fn solve_front(
     deliver(source, front, result, completion, harvest, outcome)
 }
 
-/// Runs a cold-only solver (no SVFG, no warm harvest) and packages the
-/// state. These engines carry their own governed entry points, so a
-/// budget trip still degrades to the sound Andersen fallback.
+/// Runs a cold-only solver (no SVFG, no warm harvest) through
+/// [`crate::solve`] and packages the state; a budget trip still degrades
+/// to the sound Andersen fallback.
 fn solve_cold_only(
     source: &str,
     front: Front,
     opts: IncrementalOptions,
     fs_governor: Option<&Governor>,
 ) -> (ProgramState, SolveReport) {
-    let analysis = match (front.solver, fs_governor) {
-        (SolverKind::Dense, None) => GovernedAnalysis::complete(run_dense(&front.prog, &front.aux)),
-        (SolverKind::Dense, Some(gov)) => run_dense_governed(&front.prog, &front.aux, gov),
-        (SolverKind::CfgFree, None) => {
-            GovernedAnalysis::complete(run_cfgfree_ordered(&front.prog, &front.aux, opts.order))
-        }
-        (SolverKind::CfgFree, Some(gov)) => {
-            run_cfgfree_governed_ordered(&front.prog, &front.aux, gov, opts.order)
-        }
-        (SolverKind::Unify, None) => GovernedAnalysis::complete(FlowSensitiveResult::from_unify(
-            &front.prog,
-            &analyze_unify(&front.prog),
-        )),
-        (SolverKind::Unify, Some(gov)) => {
-            // A *partial* unification fixpoint is unsound, so a governed
-            // unify run that trips cannot be served as-is. The complete
-            // Andersen aux is already in hand and over-approximates every
-            // flow-sensitive answer, so it stands in — one rung *up* in
-            // precision from what was asked for, and still sound.
-            let outcome = analyze_unify_governed(&front.prog, UnifyConfig::default(), gov);
-            match outcome.completion {
-                Completion::Complete => GovernedAnalysis::complete(
-                    FlowSensitiveResult::from_unify(&front.prog, &outcome.result),
-                ),
-                Completion::Degraded(reason) => {
-                    GovernedAnalysis::fallback(&front.prog, &front.aux, "solve", reason)
-                }
-            }
-        }
-        (SolverKind::Sfs | SolverKind::Vsfs, _) => {
-            unreachable!("staged solvers always build a staged front")
-        }
-    };
+    let analysis = solve(&front.prog, &front.aux, None, &opts, fs_governor);
     let Front { prog, aux, staged: _, keys, solver } = front;
     let total = prog.insts.len();
     let fingerprint = result_fingerprint(&prog, &keys, &analysis.result);
@@ -750,7 +719,7 @@ fn solve_incremental(
             &front.aux,
             &staged.mssa,
             &staged.svfg,
-            opts.order.into(),
+            opts.config,
             fs_governor,
             Some(seed),
         );
@@ -1407,7 +1376,7 @@ pub fn result_fingerprint(prog: &Program, keys: &StableKeys, result: &FlowSensit
 mod tests {
     use super::*;
     use crate::result::precision_diff;
-    use crate::sfs::run_sfs_ordered;
+    use crate::sfs::run_sfs;
 
     const BASE: &str = r#"
 global @g
@@ -1467,12 +1436,11 @@ entry:
             report.total_nodes
         );
         // Bit-identical to a from-scratch solve of the same text.
-        let reference = run_sfs_ordered(
+        let reference = run_sfs(
             &next.prog,
             &next.aux,
             next.mssa().expect("staged solver"),
             next.svfg().expect("staged solver"),
-            SolveOrder::default(),
         );
         assert_eq!(precision_diff(&next.prog, &next.analysis.result, &reference), None);
         assert_eq!(next.fingerprint, result_fingerprint(&next.prog, &next.keys, &reference));

@@ -14,14 +14,29 @@
 //!   over the Andersen constraint graph ("Flow Sensitivity without
 //!   Control Flow Graph"): no memory SSA and no SVFG are ever built.
 //!
+//! A fifth member, **unify**, is the flow-insensitive unification tier
+//! wrapped as a result of the same shape.
+//!
 //! [`SolverKind`] names the member; [`SolverCaps`] declares which
 //!   pipeline stages it needs and which serving features it supports.
-//! Everything downstream — `solve_program`, the incremental server, the
-//! CLI, snapshots — dispatches on these capabilities instead of
-//! hard-wiring the SVFG pipeline. A fifth solver plugs in by adding a
-//! variant, a `run_*` entry point, and an honest `caps()` row.
+//! [`solve`] is the one place a [`SolverKind`] becomes a solver call:
+//! the CLI, `solve_program`'s cold-only path, the benches and the tests
+//! go through it, and everything else — the incremental server, snapshots —
+//! dispatches on the capabilities instead of hard-wiring the SVFG
+//! pipeline. A new solver plugs in by adding a variant, an arm in
+//! [`solve`], and an honest `caps()` row.
 //!
 //! [`FlowSensitiveResult`]: crate::FlowSensitiveResult
+
+use crate::incremental::IncrementalOptions;
+use crate::result::{FlowSensitiveResult, GovernedAnalysis};
+use crate::versioning::VersionTables;
+use crate::{cfgfree, dense, sfs, vsfs};
+use vsfs_adt::govern::{Completion, Governor};
+use vsfs_andersen::{analyze_unify, analyze_unify_governed, AndersenResult, UnifyConfig};
+use vsfs_ir::Program;
+use vsfs_mssa::MemorySsa;
+use vsfs_svfg::Svfg;
 
 /// Which flow-sensitive solver to run after the Andersen stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -109,6 +124,73 @@ impl SolverKind {
         SolverKind::CfgFree,
         SolverKind::Unify,
     ];
+}
+
+/// Runs `opts.solver` over `prog` after the auxiliary analysis `aux`.
+///
+/// `staged` carries the memory SSA and SVFG; the staged solvers (those
+/// whose [`SolverCaps::needs_svfg`] is set) require it, the others
+/// ignore it. `opts.config` sets the worklist order and region memo
+/// (cfgfree takes only the order; dense and unify take neither), and
+/// `opts.jobs` sizes VSFS versioning. Results are identical under every
+/// configuration.
+///
+/// Without a `governor` the run always completes. With one, every
+/// solver checkpoints cooperatively, and a trip delivers the sound
+/// Andersen fallback tagged with the stage that tripped (`"versioning"`
+/// or `"solve"`) instead of a partial result.
+pub fn solve(
+    prog: &Program,
+    aux: &AndersenResult,
+    staged: Option<(&MemorySsa, &Svfg)>,
+    opts: &IncrementalOptions,
+    governor: Option<&Governor>,
+) -> GovernedAnalysis {
+    let staged = || staged.expect("sfs and vsfs solve over the staged MemorySsa + Svfg");
+    let deliver = |(result, completion): (FlowSensitiveResult, Completion)| match completion {
+        Completion::Complete => GovernedAnalysis::complete(result),
+        Completion::Degraded(reason) => GovernedAnalysis::fallback(prog, aux, "solve", reason),
+    };
+    match opts.solver {
+        SolverKind::Dense => deliver(dense::solve_impl(prog, aux, governor)),
+        SolverKind::Sfs => {
+            let (mssa, svfg) = staged();
+            deliver(sfs::solve_inner(prog, aux, mssa, svfg, governor, opts.config))
+        }
+        SolverKind::Vsfs => {
+            let (mssa, svfg) = staged();
+            let tables = match governor {
+                None => VersionTables::build_with_jobs(prog, mssa, svfg, opts.jobs),
+                Some(gov) => {
+                    let vt = VersionTables::build_governed(prog, mssa, svfg, opts.jobs, gov);
+                    if let Completion::Degraded(reason) = vt.completion {
+                        return GovernedAnalysis::fallback(prog, aux, "versioning", reason);
+                    }
+                    vt.result
+                }
+            };
+            deliver(vsfs::solve_with_tables(prog, aux, mssa, svfg, tables, governor, opts.config))
+        }
+        SolverKind::CfgFree => deliver(cfgfree::solve_impl(prog, aux, governor, opts.config.order)),
+        SolverKind::Unify => {
+            let unify = match governor {
+                None => analyze_unify(prog),
+                Some(gov) => {
+                    let out = analyze_unify_governed(prog, UnifyConfig::default(), gov);
+                    if let Completion::Degraded(reason) = out.completion {
+                        // A partial unification fixpoint is unsound, so it
+                        // cannot be served. The complete Andersen aux is
+                        // already in hand and over-approximates every
+                        // flow-sensitive answer, so it stands in: one rung
+                        // *up* in precision from what was asked, still sound.
+                        return GovernedAnalysis::fallback(prog, aux, "solve", reason);
+                    }
+                    out.result
+                }
+            };
+            GovernedAnalysis::complete(FlowSensitiveResult::from_unify(prog, &unify))
+        }
+    }
 }
 
 #[cfg(test)]

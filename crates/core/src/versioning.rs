@@ -104,24 +104,8 @@ impl VersionTables {
         svfg: &Svfg,
         jobs: usize,
     ) -> VersionTables {
-        VersionTables::build_with_jobs_regions(prog, mssa, svfg, jobs, None)
-    }
-
-    /// Like [`VersionTables::build_with_jobs`], but with the per-object
-    /// meld tasks seeded by unification alias regions
-    /// (`region_of_object`, from `vsfs_andersen::AliasRegions`): objects
-    /// of the same (provably-disjoint) region start on the same worker,
-    /// replacing the cost-only LPT seeding where regions exist. A pure
-    /// scheduling hint — the tables are bit-identical either way.
-    pub fn build_with_jobs_regions(
-        prog: &Program,
-        mssa: &MemorySsa,
-        svfg: &Svfg,
-        jobs: usize,
-        regions: Option<&[u32]>,
-    ) -> VersionTables {
         let start = Instant::now();
-        let (mut tables, _) = build_inner(prog, mssa, svfg, ParConfig::new(jobs), regions, None);
+        let (mut tables, _) = build_inner(prog, mssa, svfg, ParConfig::new(jobs), None);
         tables.stats.versions = tables.slot_count as usize;
         tables.stats.seconds = start.elapsed().as_secs_f64();
         tables
@@ -136,7 +120,7 @@ impl VersionTables {
     /// structurally valid *empty* tables (no slots, no reliance edges) —
     /// partial version numbering is useless for solving, so callers must
     /// treat a degraded outcome as "no flow-sensitive result" and fall
-    /// back (see `run_vsfs_governed`).
+    /// back (see `crate::solve`).
     pub fn build_governed(
         prog: &Program,
         mssa: &MemorySsa,
@@ -146,7 +130,7 @@ impl VersionTables {
     ) -> Outcome<VersionTables> {
         let start = Instant::now();
         let (mut tables, completion) =
-            build_inner(prog, mssa, svfg, ParConfig::new(jobs), None, Some(governor));
+            build_inner(prog, mssa, svfg, ParConfig::new(jobs), Some(governor));
         tables.stats.versions = tables.slot_count as usize;
         tables.stats.seconds = start.elapsed().as_secs_f64();
         Outcome { result: tables, completion }
@@ -272,7 +256,6 @@ fn build_inner(
     mssa: &MemorySsa,
     svfg: &Svfg,
     par: ParConfig,
-    regions: Option<&[u32]>,
     governor: Option<&Governor>,
 ) -> (VersionTables, Completion) {
     let num_objs = prog.objects.len();
@@ -368,34 +351,20 @@ fn build_inner(
         process_object(edges_ref(oi), &stores_ref[oi], &deltas_ref[oi], area)
     };
     let init = || ObjArea::with_node_capacity(node_count);
-    let run = match regions {
-        // Alias-region seeding: objects whose version slots can hold
-        // overlapping sets share a worker's cache. `u64::MAX` groups the
-        // never-pointed-to objects together.
-        Some(region_of_object) => par::try_run_tasks_grouped(
-            par,
-            objs.len(),
-            cost,
-            |i| region_of_object.get(objs_ref[i].index()).map_or(u64::MAX, |&r| u64::from(r)),
-            governor,
-            init,
-            worker,
-        ),
-        None => par::try_run_tasks_with(par, objs.len(), cost, governor, init, worker),
-    };
-    let (outcomes, pstats) = match run {
-        Ok(out) => out,
-        Err(interrupt) => match governor {
-            Some(g) => {
-                g.note_interrupt(&interrupt);
-                return (empty_tables(node_count), g.completion());
-            }
-            None => {
-                let f = interrupt.faults.first().expect("interrupt without faults or governor");
-                panic!("parallel {f}");
-            }
-        },
-    };
+    let (outcomes, pstats) =
+        match par::try_run_tasks_with(par, objs.len(), cost, governor, init, worker) {
+            Ok(out) => out,
+            Err(interrupt) => match governor {
+                Some(g) => {
+                    g.note_interrupt(&interrupt);
+                    return (empty_tables(node_count), g.completion());
+                }
+                None => {
+                    let f = interrupt.faults.first().expect("interrupt without faults or governor");
+                    panic!("parallel {f}");
+                }
+            },
+        };
 
     // Ordered reduce: ascending object order keeps every node's slot
     // list sorted by object and assigns global ids deterministically.

@@ -145,7 +145,7 @@ fn write_string(out: &mut String, text: &str) {
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { src: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -156,6 +156,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -261,12 +262,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash
+                    // in one step. Both are ASCII, so the run ends on a
+                    // character boundary of the (already valid) input.
+                    let len = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.src[self.pos..self.pos + len]);
+                    self.pos += len;
                 }
             }
         }
@@ -341,6 +345,22 @@ mod tests {
         // Serialise and re-parse: fixpoint.
         let again = parse(&v.to_line()).unwrap();
         assert_eq!(v, again);
+    }
+
+    #[test]
+    fn round_trips_long_strings_mixing_ascii_escapes_and_multibyte_text() {
+        let chunk = "plain ascii \" quote \\ slash / nl\n cr\r tab\t bs\u{8} ff\u{c} \
+                     ctl\u{1} é 中文 🦀 ";
+        let text = chunk.repeat(2000);
+        let v = Json::Obj(vec![("text".to_string(), Json::Str(text))]);
+        let line = v.to_line();
+        assert!(line.len() > 100_000);
+        assert_eq!(parse(&line).unwrap(), v);
+        // Escapes the serialiser never emits still decode.
+        let raw = r#""a\/b\u00e9\u4e2d\b\f\"\\""#;
+        assert_eq!(parse(raw).unwrap(), Json::Str("a/bé中\u{8}\u{c}\"\\".to_string()));
+        // A run that never closes is still an error, not a panic.
+        assert!(parse(&format!("\"{}", "é".repeat(1000))).is_err());
     }
 
     #[test]

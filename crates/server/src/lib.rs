@@ -522,11 +522,8 @@ impl Server {
             };
         }
         if let Some(order) = req.get("order").and_then(Json::as_str) {
-            opts.order = match order {
-                "fifo" => SolveOrder::Fifo,
-                "topo" => SolveOrder::Topo,
-                other => return Err(err("bad_request", format!("unknown order '{other}'"))),
-            };
+            opts.config.order = SolveOrder::parse(order)
+                .ok_or_else(|| err("bad_request", format!("unknown order '{order}'")))?;
         }
         if let Some(jobs) = req.get("jobs").and_then(Json::as_u64) {
             opts.jobs = (jobs as usize).max(1);

@@ -151,9 +151,12 @@ echo "== soundness chain: flow-sensitive <= andersen <= unify <= steensgaard =="
 cargo test --release -q --test soundness_chain
 
 echo
-echo "== unify gate: >= 50x cheaper than andersen, region sharding >= cost-only =="
-cargo run --release -p vsfs-bench --bin unify_bench -- bake --runs 3 \
-  --gate-ratio 50 --gate-sharding
+echo "== unify gate: >= 50x cheaper than andersen =="
+cargo run --release -p vsfs-bench --bin unify_bench -- bake --runs 3 --gate-ratio 50
+
+echo
+echo "== benchmark self-test: perfbench builds against the core API and its checks pass =="
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo
 echo "== lint gate: rustfmt clean, clippy clean at -D warnings =="

@@ -50,7 +50,7 @@ echo "== Solver matrix: sfs/vsfs/cfgfree time, memory, precision (writes results
 ./target/release/solver_matrix
 
 echo
-echo "== Unification tier: cost ratio and alias-region sharding (writes results/BENCH_unify.json) =="
+echo "== Unification tier: cost ratio vs Andersen (writes results/BENCH_unify.json) =="
 ./target/release/unify_bench
 
 echo

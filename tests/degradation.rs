@@ -16,7 +16,7 @@
 
 use vsfs::prelude::*;
 use vsfs_adt::govern::{Budget, CancelToken, Completion, DegradeReason, FaultKind, Governor};
-use vsfs_core::GovernedAnalysis;
+use vsfs_core::{GovernedAnalysis, IncrementalOptions, SolverKind};
 use vsfs_testkit::FaultPlan;
 
 struct Pipeline {
@@ -35,7 +35,8 @@ fn pipeline(source: &str, jobs: usize) -> Pipeline {
 }
 
 fn run_governed(p: &Pipeline, jobs: usize, gov: &Governor) -> GovernedAnalysis {
-    vsfs_core::run_vsfs_governed(&p.prog, &p.aux, &p.mssa, &p.svfg, jobs, gov)
+    let opts = IncrementalOptions { solver: SolverKind::Vsfs, jobs, ..Default::default() };
+    vsfs_core::solve(&p.prog, &p.aux, Some((&p.mssa, &p.svfg)), &opts, Some(gov))
 }
 
 /// The fallback (= Andersen) must contain the complete flow-sensitive
@@ -141,6 +142,69 @@ fn seeded_faults_are_bit_identical_across_job_counts() {
                     }
                     assert_eq!(ga.result.callgraph_edges, first.result.callgraph_edges, "{label}");
                 }
+            }
+        }
+    }
+}
+
+/// `vsfs_core::solve` is the one dispatch from a [`SolverKind`] to a
+/// solver. For every kind, ungoverned, it delivers exactly the kind's
+/// plain reference. Under a step budget one short of a complete governed
+/// run, the trip lands in the solve stage and `solve` delivers the sound
+/// Andersen fallback, which covers every fact of the complete answer.
+/// Unify's own answer is coarser than Andersen (the fallback is one rung
+/// *up*), so for it the fallback is held to the flow-sensitive answer.
+#[test]
+fn solve_dispatches_every_kind_and_degrades_it_soundly() {
+    for c in vsfs_workloads::corpus::corpus() {
+        let p = pipeline(c.source, 1);
+        let (prog, aux) = (&p.prog, &p.aux);
+        let sfs = run_sfs(prog, aux, &p.mssa, &p.svfg);
+        let references = [
+            (SolverKind::Dense, vsfs_core::run_dense(prog, aux)),
+            (SolverKind::Sfs, run_sfs(prog, aux, &p.mssa, &p.svfg)),
+            (SolverKind::Vsfs, run_vsfs(prog, aux, &p.mssa, &p.svfg)),
+            (SolverKind::CfgFree, vsfs_core::run_cfgfree(prog, aux)),
+            (
+                SolverKind::Unify,
+                FlowSensitiveResult::from_unify(prog, &andersen::analyze_unify(prog)),
+            ),
+        ];
+        assert_eq!(references.each_ref().map(|(k, _)| *k), SolverKind::ALL);
+        for (kind, reference) in &references {
+            let label = format!("{}/{}", c.name, kind.name());
+            let opts = IncrementalOptions { solver: *kind, ..Default::default() };
+            let solve = |gov| vsfs_core::solve(prog, aux, Some((&p.mssa, &p.svfg)), &opts, gov);
+
+            let ga = solve(None);
+            assert!(ga.is_complete(), "{label}");
+            if let Some(diff) = vsfs_core::precision_diff(prog, reference, &ga.result) {
+                panic!("{label}: solve differs from the plain reference: {diff}");
+            }
+            // sfs, vsfs and cfgfree agree on every fact, so the storage
+            // footprint is what tells the engines apart.
+            let (got, want) = (&ga.result.stats, &reference.stats);
+            assert_eq!(got.stored_object_sets, want.stored_object_sets, "{label}: wrong engine");
+            assert_eq!(got.versions, want.versions, "{label}: wrong engine");
+
+            let probe = Governor::unlimited();
+            assert!(solve(Some(&probe)).is_complete(), "{label}: unlimited budget must complete");
+            assert!(probe.steps() > 0, "{label}: the solve stage must checkpoint");
+            let gov = Governor::new(Budget::unlimited().with_steps(probe.steps() - 1));
+            let ga = solve(Some(&gov));
+            assert_eq!(ga.completion, Completion::Degraded(DegradeReason::StepBudget), "{label}");
+            assert_eq!(ga.mode, "flow-insensitive-fallback", "{label}");
+            assert_eq!(ga.degraded_stage, Some("solve"), "{label}");
+            let complete = if *kind == SolverKind::Unify { &sfs } else { reference };
+            for v in prog.values.indices() {
+                assert!(
+                    ga.result.value_pts(v).is_superset(complete.value_pts(v)),
+                    "{label}: fallback pt(%{}) misses complete facts",
+                    prog.values[v].name
+                );
+            }
+            for edge in &complete.callgraph_edges {
+                assert!(ga.result.callgraph_edges.contains(edge), "{label}: misses {edge:?}");
             }
         }
     }

@@ -49,6 +49,59 @@ fn generated_workloads_are_equivalent() {
     }
 }
 
+/// Sixty seeds over a sweep of shapes (heap, indirect-call, loop and
+/// back-call mixes): SFS and VSFS agree exactly, and both SFS and dense
+/// refine Andersen. Dense is checked only against Andersen: dense-on-ICFG
+/// and staged-on-SVFG are incomparable in precision (see
+/// `tests/dense_baseline.rs`), so neither containment holds between them
+/// in general.
+#[test]
+fn shape_varied_seeds_agree_and_refine_andersen() {
+    fn check(cfg: &WorkloadConfig) -> Result<(), String> {
+        let prog = generate(cfg);
+        vsfs_ir::verify::verify(&prog).map_err(|e| format!("verify: {e:?}"))?;
+        let aux = andersen::analyze(&prog);
+        let mssa = MemorySsa::build(&prog, &aux);
+        let svfg = Svfg::build(&prog, &aux, &mssa);
+        let sfs = run_sfs(&prog, &aux, &mssa, &svfg);
+        let vsfs = run_vsfs(&prog, &aux, &mssa, &svfg);
+        if let Some(d) = precision_diff(&prog, &sfs, &vsfs) {
+            return Err(format!("seed {}: SFS != VSFS: {d}", cfg.seed));
+        }
+        let dense = vsfs_core::run_dense(&prog, &aux);
+        for (label, r) in [("SFS", &sfs), ("dense", &dense)] {
+            for v in prog.values.indices() {
+                for o in r.value_pts(v).iter() {
+                    if !aux.value_pts(v).contains(o) {
+                        return Err(format!(
+                            "seed {}: {label} pt(%{}) contains {} not in Andersen",
+                            cfg.seed, prog.values[v].name, prog.objects[o].name
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    let mut failures = Vec::new();
+    for seed in 0..60u64 {
+        let cfg = WorkloadConfig {
+            seed,
+            heap_fraction: 0.2 + 0.6 * ((seed % 5) as f64 / 5.0),
+            indirect_call_fraction: 0.1 + 0.5 * ((seed % 4) as f64 / 4.0),
+            loop_bias: 0.1 + 0.4 * ((seed % 3) as f64 / 3.0),
+            backward_call_fraction: if seed % 2 == 0 { 0.3 } else { 0.05 },
+            deref_chain: 0.4,
+            ..WorkloadConfig::small()
+        };
+        if let Err(e) = check(&cfg) {
+            failures.push(e);
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
 #[test]
 fn heavy_profile_workloads_are_equivalent() {
     for seed in 100..106 {
@@ -283,7 +336,12 @@ fn cfgfree_checker_findings_are_bit_identical_across_jobs_and_orders() {
             let mssa = MemorySsa::build(&prog, &aux);
             let svfg = Svfg::build(&prog, &aux, &mssa);
             for order in [SolveOrder::Fifo, SolveOrder::Topo] {
-                let r = vsfs_core::run_cfgfree_ordered(&prog, &aux, order);
+                let opts = vsfs_core::IncrementalOptions {
+                    solver: vsfs_core::SolverKind::CfgFree,
+                    config: order.into(),
+                    jobs,
+                };
+                let r = vsfs_core::solve(&prog, &aux, None, &opts, None).result;
                 let findings = run_checkers(&prog, &svfg, &FlowView(&r));
                 let rendered = render_findings(&prog, &findings);
                 match &reference {

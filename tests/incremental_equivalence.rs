@@ -20,7 +20,8 @@ use vsfs_checkers::{run_checkers, FlowView};
 use vsfs_core::queries::AliasQueries;
 use vsfs_core::result::precision_diff;
 use vsfs_core::{
-    resolve_edit, result_fingerprint, solve_program, IncrementalOptions, ProgramState, SolveOrder,
+    resolve_edit, result_fingerprint, solve_program, FlowSensitiveResult, IncrementalOptions,
+    ProgramState, SolveOrder, SolverKind,
 };
 use vsfs_ir::Program;
 use vsfs_testkit::Rng;
@@ -63,6 +64,18 @@ fn cold_pipeline(source: &str, jobs: usize) -> ColdPipeline {
     let mssa = vsfs_mssa::MemorySsa::build(&prog, &aux);
     let svfg = vsfs_svfg::Svfg::build(&prog, &aux, &mssa);
     ColdPipeline { prog, aux, mssa, svfg }
+}
+
+/// An ungoverned from-scratch `kind` solve of `cold` under `order`,
+/// versioning with `jobs` workers.
+fn solve_cold(
+    kind: SolverKind,
+    cold: &ColdPipeline,
+    jobs: usize,
+    order: SolveOrder,
+) -> FlowSensitiveResult {
+    let opts = IncrementalOptions { solver: kind, config: order.into(), jobs };
+    vsfs_core::solve(&cold.prog, &cold.aux, Some((&cold.mssa, &cold.svfg)), &opts, None).result
 }
 
 /// Asserts the incremental `state` matches `cold_result` on points-to
@@ -115,7 +128,7 @@ fn edit_sequences_match_from_scratch_solves() {
         let script = edit_script(&cfg, rng.next_u64(), 3);
         let base_text = script.base.to_string();
         let opts = IncrementalOptions {
-            order: if rng.gen_bool(0.5) { SolveOrder::Fifo } else { SolveOrder::Topo },
+            config: if rng.gen_bool(0.5) { SolveOrder::Fifo } else { SolveOrder::Topo }.into(),
             ..IncrementalOptions::default()
         };
         let (mut state, _) = solve_program(&base_text, opts, None, None).expect("base solves");
@@ -133,9 +146,7 @@ fn edit_sequences_match_from_scratch_solves() {
             // From-scratch SFS, both worklist orders.
             let cold = cold_pipeline(&text, 1);
             for order in [SolveOrder::Fifo, SolveOrder::Topo] {
-                let r = vsfs_core::run_sfs_ordered(
-                    &cold.prog, &cold.aux, &cold.mssa, &cold.svfg, order,
-                );
+                let r = solve_cold(SolverKind::Sfs, &cold, 1, order);
                 assert_matches(&format!("{label} vs sfs/{order:?}"), &next, &cold, &r, rng);
             }
             // From-scratch VSFS at three parallelism levels.
@@ -143,14 +154,7 @@ fn edit_sequences_match_from_scratch_solves() {
                 [(1, SolveOrder::Topo), (2, SolveOrder::Fifo), (8, SolveOrder::Topo)]
             {
                 let cold_j = cold_pipeline(&text, jobs);
-                let r = vsfs_core::run_vsfs_jobs_ordered(
-                    &cold_j.prog,
-                    &cold_j.aux,
-                    &cold_j.mssa,
-                    &cold_j.svfg,
-                    jobs,
-                    order,
-                );
+                let r = solve_cold(SolverKind::Vsfs, &cold_j, jobs, order);
                 assert_matches(
                     &format!("{label} vs vsfs/j{jobs}/{order:?}"),
                     &next,
@@ -209,4 +213,50 @@ fn localized_edits_dirty_strict_subsets() {
             report.total_nodes
         );
     });
+}
+
+/// Regression: an indirect call whose call site stays clean while the
+/// callee is edited so its return set shrinks. The incremental re-solve
+/// must drop the stale object from the call's result exactly as a cold
+/// solve does.
+#[test]
+fn shrinking_return_of_indirect_callee_matches_cold() {
+    const BASE: &str = r#"
+global @ga
+global @gb
+global @fp
+ginit @fp, @pick
+
+func @pick(%t) {
+entry:
+  %a = alloc heap A
+  %b = alloc heap B
+  store %a, @ga
+  store %b, @gb
+  %s = alloc stack S
+  store %a, %s
+  store %b, %s
+  %r = load %s
+  ret %r
+}
+
+func @main() {
+entry:
+  %x = alloc heap X
+  %f = load @fp
+  %res = icall %f(%x)
+  ret
+}
+"#;
+    let opts = IncrementalOptions::default();
+    let (state, _) = solve_program(BASE, opts, None, None).unwrap();
+    assert!(state.has_warm_state());
+    let edited = BASE.replace("  store %b, %s\n", "");
+    let (_, rep) = resolve_edit(&state, &edited, opts, None, None).unwrap();
+    let (_, crep) = solve_program(&edited, opts, None, None).unwrap();
+    assert_eq!(
+        rep.fingerprint, crep.fingerprint,
+        "incremental diverged from cold solve (dirty {}/{})",
+        rep.dirty_nodes, rep.total_nodes
+    );
 }

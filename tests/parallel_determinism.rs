@@ -13,6 +13,7 @@ use vsfs::prelude::*;
 use vsfs_andersen::AndersenConfig;
 use vsfs_core::queries::AliasQueries;
 use vsfs_core::result::precision_diff;
+use vsfs_core::{IncrementalOptions, SolverKind};
 use vsfs_workloads::gen::{generate, WorkloadConfig};
 
 const JOB_COUNTS: [usize; 3] = [1, 2, 8];
@@ -47,7 +48,18 @@ fn pipeline_at(prog: &Program, jobs: usize) -> FlowSensitiveResult {
     let aux = andersen::analyze_with_config(prog, AndersenConfig::with_jobs(jobs));
     let mssa = MemorySsa::build(prog, &aux);
     let svfg = Svfg::build(prog, &aux, &mssa);
-    vsfs_core::run_vsfs_jobs(prog, &aux, &mssa, &svfg, jobs)
+    vsfs_jobs(prog, &aux, (&mssa, &svfg), jobs)
+}
+
+/// An ungoverned VSFS solve with `jobs` versioning workers.
+fn vsfs_jobs(
+    prog: &Program,
+    aux: &andersen::AndersenResult,
+    staged: (&MemorySsa, &Svfg),
+    jobs: usize,
+) -> FlowSensitiveResult {
+    let opts = IncrementalOptions { solver: SolverKind::Vsfs, jobs, ..Default::default() };
+    vsfs_core::solve(prog, aux, Some(staged), &opts, None).result
 }
 
 fn sorted_edges(r: &FlowSensitiveResult) -> Vec<(vsfs_ir::InstId, vsfs_ir::FuncId)> {
@@ -145,7 +157,7 @@ fn solvers_agree_with_all_parallel_phases_enabled() {
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
         let sfs = run_sfs(&prog, &aux, &mssa, &svfg);
-        let vsfs = vsfs_core::run_vsfs_jobs(&prog, &aux, &mssa, &svfg, 8);
+        let vsfs = vsfs_jobs(&prog, &aux, (&mssa, &svfg), 8);
         if let Some(diff) = precision_diff(&prog, &sfs, &vsfs) {
             panic!("{name}: SFS and VSFS disagree under parallel phases: {diff}");
         }

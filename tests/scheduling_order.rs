@@ -13,7 +13,7 @@ use vsfs::prelude::*;
 use vsfs_checkers::{run_checkers, Finding, FlowView};
 use vsfs_core::queries::AliasQueries;
 use vsfs_core::result::precision_diff;
-use vsfs_core::SolveOrder;
+use vsfs_core::{IncrementalOptions, SolveOrder, SolverKind};
 use vsfs_testkit::Rng;
 use vsfs_workloads::gen::{generate, WorkloadConfig};
 
@@ -39,6 +39,20 @@ fn random_config(rng: &mut Rng) -> WorkloadConfig {
         deref_chain: rng.gen_range(0.0f64..0.6),
         ..WorkloadConfig::small()
     }
+}
+
+/// One ungoverned `kind` solve under `order`, versioning with `jobs`
+/// workers.
+fn solve(
+    kind: SolverKind,
+    prog: &Program,
+    aux: &andersen::AndersenResult,
+    staged: (&MemorySsa, &Svfg),
+    jobs: usize,
+    order: SolveOrder,
+) -> FlowSensitiveResult {
+    let opts = IncrementalOptions { solver: kind, config: order.into(), jobs };
+    vsfs_core::solve(prog, aux, Some(staged), &opts, None).result
 }
 
 /// Everything a client can observe from one flow-sensitive run.
@@ -77,7 +91,7 @@ fn vsfs_is_identical_across_orders_and_jobs() {
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
 
-        let base = vsfs_core::run_vsfs_jobs_ordered(&prog, &aux, &mssa, &svfg, 1, ORDERS[0]);
+        let base = solve(SolverKind::Vsfs, &prog, &aux, (&mssa, &svfg), 1, ORDERS[0]);
         let base_findings = observe(&prog, &base, &svfg);
         for &order in &ORDERS {
             for &jobs in &JOB_COUNTS {
@@ -85,7 +99,7 @@ fn vsfs_is_identical_across_orders_and_jobs() {
                     continue;
                 }
                 let ctx = format!("seed {} order {} jobs {jobs}", cfg.seed, order.name());
-                let r = vsfs_core::run_vsfs_jobs_ordered(&prog, &aux, &mssa, &svfg, jobs, order);
+                let r = solve(SolverKind::Vsfs, &prog, &aux, (&mssa, &svfg), jobs, order);
                 if let Some(diff) = precision_diff(&prog, &base, &r) {
                     panic!("{ctx}: {diff}");
                 }
@@ -107,8 +121,8 @@ fn sfs_orders_agree_with_each_other_and_with_vsfs() {
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
 
-        let fifo = vsfs_core::run_sfs_ordered(&prog, &aux, &mssa, &svfg, SolveOrder::Fifo);
-        let topo = vsfs_core::run_sfs_ordered(&prog, &aux, &mssa, &svfg, SolveOrder::Topo);
+        let fifo = solve(SolverKind::Sfs, &prog, &aux, (&mssa, &svfg), 1, SolveOrder::Fifo);
+        let topo = solve(SolverKind::Sfs, &prog, &aux, (&mssa, &svfg), 1, SolveOrder::Topo);
         if let Some(diff) = precision_diff(&prog, &fifo, &topo) {
             panic!("seed {}: sfs fifo vs topo: {diff}", cfg.seed);
         }
@@ -118,7 +132,7 @@ fn sfs_orders_agree_with_each_other_and_with_vsfs() {
             "seed {}: sfs findings differ across orders",
             cfg.seed
         );
-        let vsfs = vsfs_core::run_vsfs_ordered(&prog, &aux, &mssa, &svfg, SolveOrder::Topo);
+        let vsfs = solve(SolverKind::Vsfs, &prog, &aux, (&mssa, &svfg), 1, SolveOrder::Topo);
         if let Some(diff) = precision_diff(&prog, &fifo, &vsfs) {
             panic!("seed {}: sfs vs vsfs(topo): {diff}", cfg.seed);
         }
