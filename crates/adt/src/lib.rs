@@ -11,7 +11,7 @@
 //! * [`index`] — typed `u32` indices ([`define_index!`](crate::define_index)) and dense
 //!   index-keyed vectors ([`IndexVec`]).
 //! * [`worklist`] — FIFO and rank-bucketed priority worklists with
-//!   membership dedup, unified behind a policy-switchable [`Worklist`].
+//!   membership dedup; the priority list counts its traffic.
 //! * [`mem`] — a counting global allocator used by the benchmark harness to
 //!   report peak live bytes (the reproduction's substitute for GNU `time`'s
 //!   max-RSS column in Table III).
@@ -63,7 +63,7 @@ pub use meldpool::MeldPool;
 pub use par::{ParConfig, ParStats, ShardedWorklist};
 pub use ptstore::{CarryStats, FlatReader, PtsCarry, PtsId, PtsScratch, PtsStore, PtsStoreStats};
 pub use sbv::SparseBitVector;
-pub use worklist::{FifoWorklist, PriorityWorklist, Worklist, WorklistStats};
+pub use worklist::{FifoWorklist, PriorityWorklist, WorklistStats};
 
 use std::fmt;
 use std::marker::PhantomData;

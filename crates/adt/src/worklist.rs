@@ -5,9 +5,7 @@
 //! order; [`PriorityWorklist`] pops the element with the smallest rank
 //! first, FIFO within a rank (typically the rank is a topological number
 //! of the element's SCC in some dependence graph, which makes data-flow
-//! fixpoints converge in far fewer visits). [`Worklist`] wraps either
-//! behind one API with push/pop counters, so solvers can switch the
-//! schedule at run time without changing the propagation code.
+//! fixpoints converge in far fewer visits) and counts its traffic.
 
 use crate::index::Idx;
 use std::collections::VecDeque;
@@ -114,6 +112,7 @@ pub struct PriorityWorklist<I> {
     /// Lowest `occ1` word that may be non-zero.
     min_w1: usize,
     len: usize,
+    stats: WorklistStats,
 }
 
 impl<I: Idx> PriorityWorklist<I> {
@@ -131,6 +130,7 @@ impl<I: Idx> PriorityWorklist<I> {
             occ1: vec![0; w1],
             min_w1: w1,
             len: 0,
+            stats: WorklistStats::default(),
         }
     }
 
@@ -142,9 +142,11 @@ impl<I: Idx> PriorityWorklist<I> {
     pub fn push(&mut self, item: I) -> bool {
         let i = item.index();
         if self.queued[i] {
+            self.stats.suppressed += 1;
             return false;
         }
         self.queued[i] = true;
+        self.stats.pushes += 1;
         let r = self.rank[i] as usize;
         self.buckets[r].push_back(item);
         self.occ0[r / 64] |= 1 << (r % 64);
@@ -174,6 +176,7 @@ impl<I: Idx> PriorityWorklist<I> {
         }
         self.queued[item.index()] = false;
         self.len -= 1;
+        self.stats.pops += 1;
         Some(item)
     }
 
@@ -186,6 +189,11 @@ impl<I: Idx> PriorityWorklist<I> {
     pub fn len(&self) -> usize {
         self.len
     }
+
+    /// The traffic counters so far.
+    pub fn stats(&self) -> WorklistStats {
+        self.stats
+    }
 }
 
 /// Counters describing one worklist's traffic.
@@ -197,105 +205,6 @@ pub struct WorklistStats {
     pub suppressed: usize,
     /// Dequeues.
     pub pops: usize,
-}
-
-/// A worklist whose scheduling policy is chosen at construction time —
-/// FIFO or rank-bucketed priority — behind one API, with traffic
-/// counters.
-///
-/// Both policies drain the same monotone constraint system to the same
-/// unique least fixpoint; the policy changes *when* work happens (and so
-/// how often elements are re-visited), never the answer.
-///
-/// # Examples
-///
-/// ```
-/// use vsfs_adt::Worklist;
-///
-/// let mut wl: Worklist<usize> = Worklist::priority(vec![1, 0]);
-/// wl.push(0);
-/// wl.push(1);
-/// wl.push(0); // suppressed by the in-queue guard
-/// assert_eq!(wl.pop(), Some(1));
-/// assert_eq!(wl.pop(), Some(0));
-/// assert_eq!(wl.stats().suppressed, 1);
-/// assert_eq!(wl.stats().pops, 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Worklist<I> {
-    inner: WorklistImpl<I>,
-    stats: WorklistStats,
-}
-
-#[derive(Debug, Clone)]
-enum WorklistImpl<I> {
-    Fifo(FifoWorklist<I>),
-    Priority(PriorityWorklist<I>),
-}
-
-impl<I: Idx> Worklist<I> {
-    /// A FIFO-scheduled worklist for elements with indices `< capacity`.
-    pub fn fifo(capacity: usize) -> Self {
-        Worklist {
-            inner: WorklistImpl::Fifo(FifoWorklist::new(capacity)),
-            stats: WorklistStats::default(),
-        }
-    }
-
-    /// A rank-scheduled worklist where element `i` has rank `rank[i]`.
-    pub fn priority(rank: Vec<u32>) -> Self {
-        Worklist {
-            inner: WorklistImpl::Priority(PriorityWorklist::new(rank)),
-            stats: WorklistStats::default(),
-        }
-    }
-
-    /// Enqueues `item` unless already queued; returns `true` if enqueued.
-    pub fn push(&mut self, item: I) -> bool {
-        let pushed = match &mut self.inner {
-            WorklistImpl::Fifo(wl) => wl.push(item),
-            WorklistImpl::Priority(wl) => wl.push(item),
-        };
-        if pushed {
-            self.stats.pushes += 1;
-        } else {
-            self.stats.suppressed += 1;
-        }
-        pushed
-    }
-
-    /// Dequeues the next item under the chosen policy, if any.
-    pub fn pop(&mut self) -> Option<I> {
-        let item = match &mut self.inner {
-            WorklistImpl::Fifo(wl) => wl.pop(),
-            WorklistImpl::Priority(wl) => wl.pop(),
-        };
-        if item.is_some() {
-            self.stats.pops += 1;
-        }
-        item
-    }
-
-    /// Returns `true` if nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        match &self.inner {
-            WorklistImpl::Fifo(wl) => wl.is_empty(),
-            WorklistImpl::Priority(wl) => wl.is_empty(),
-        }
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            WorklistImpl::Fifo(wl) => wl.len(),
-            WorklistImpl::Priority(wl) => wl.len(),
-        }
-    }
-
-    /// The traffic counters so far.
-    pub fn stats(&self) -> WorklistStats {
-        self.stats
-    }
 }
 
 #[cfg(test)]
@@ -375,40 +284,14 @@ mod tests {
     }
 
     #[test]
-    fn wrapper_counts_traffic_for_both_policies() {
-        for mut wl in [Worklist::<usize>::fifo(3), Worklist::priority(vec![0, 1, 2])] {
-            assert!(wl.push(1));
-            assert!(wl.push(2));
-            assert!(!wl.push(1));
-            assert_eq!(wl.len(), 2);
-            assert!(!wl.is_empty());
-            assert_eq!(wl.pop(), Some(1));
-            assert_eq!(wl.pop(), Some(2));
-            assert_eq!(wl.pop(), None);
-            let s = wl.stats();
-            assert_eq!(s.pushes, 2);
-            assert_eq!(s.suppressed, 1);
-            assert_eq!(s.pops, 2);
-        }
-    }
-
-    /// Both policies drain the same pushes; priority returns them in
-    /// rank-then-FIFO order.
-    #[test]
-    fn wrapper_policies_drain_identically_as_sets() {
-        let ranks = vec![2, 0, 1, 0];
-        let mut fifo = Worklist::fifo(4);
-        let mut prio = Worklist::priority(ranks);
-        for i in [0usize, 3, 2, 1] {
-            fifo.push(i);
-            prio.push(i);
-        }
-        let mut a: Vec<usize> = std::iter::from_fn(|| fifo.pop()).collect();
-        let b: Vec<usize> = std::iter::from_fn(|| prio.pop()).collect();
-        assert_eq!(b, vec![3, 1, 2, 0]);
-        a.sort();
-        let mut bs = b.clone();
-        bs.sort();
-        assert_eq!(a, bs);
+    fn priority_counts_traffic() {
+        let mut wl: PriorityWorklist<usize> = PriorityWorklist::new(vec![0, 1, 2]);
+        assert!(wl.push(1));
+        assert!(wl.push(2));
+        assert!(!wl.push(1));
+        assert_eq!(wl.pop(), Some(1));
+        assert_eq!(wl.pop(), Some(2));
+        assert_eq!(wl.pop(), None);
+        assert_eq!(wl.stats(), WorklistStats { pushes: 2, suppressed: 1, pops: 2 });
     }
 }

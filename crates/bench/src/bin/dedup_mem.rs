@@ -1,9 +1,7 @@
-//! Memory benchmark of the multi-level deduplication engine: peak
-//! live-heap and end-to-end time for the full VSFS pipeline on suite
-//! workloads, plus both dedup levels' counters — the chunked store
-//! (unique sets/chunks, payload vs flat-equivalent bytes, chunk and
-//! set-level memo hit rates) and the region memo (SCC fingerprint hits,
-//! solves skipped).
+//! Memory benchmark of the deduplicated points-to store: peak live-heap
+//! and end-to-end time for the full VSFS pipeline on suite workloads,
+//! plus the chunked store's counters (unique sets/chunks, payload vs
+//! flat-equivalent bytes, chunk and set-level memo hit rates).
 //!
 //! ```text
 //! dedup_mem [WORKLOADS] [--out FILE] [--gate FILE]
@@ -12,8 +10,8 @@
 //! `WORKLOADS` is a comma-separated list of suite benchmark names
 //! (default `du,ninja,bake` — one per size profile). Without `--gate`,
 //! the run writes `results/BENCH_dedup.json` (`PhaseTimer::to_json`
-//! format, `schema` counter = 2: end-to-end seconds per workload in
-//! `phases`, peak bytes and both dedup levels' counters in `counters`).
+//! format, `schema` counter = 3: end-to-end seconds per workload in
+//! `phases`, peak bytes and the store counters in `counters`).
 //!
 //! With `--gate FILE` the run is the CI MDE gate and fails (exit 1) on
 //! any of:
@@ -22,9 +20,7 @@
 //!   recorded baseline in `FILE`;
 //! * the `bake` set payload (`unique_set_bytes`) shrinking less than
 //!   25% against the flat one-block-per-chunk equivalent
-//!   (`flat_equiv_bytes`) — the chunking has stopped paying for itself;
-//! * zero `scc_solves_skipped` on `bake` — the region memo has stopped
-//!   firing.
+//!   (`flat_equiv_bytes`) — the chunking has stopped paying for itself.
 //!
 //! Timings are not gated: wall clock is machine-dependent, peak live
 //! bytes under the counting allocator and the dedup counters are not.
@@ -40,7 +36,7 @@ use vsfs_svfg::Svfg;
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// `counters.schema` in the emitted JSON; bump when keys change shape.
-const SCHEMA: u64 = 2;
+const SCHEMA: u64 = 3;
 
 /// Peak regression tolerated by `--gate` before it fails.
 const PEAK_SLACK: f64 = 1.10;
@@ -48,7 +44,7 @@ const PEAK_SLACK: f64 = 1.10;
 /// Minimum `bake` payload reduction vs the flat-equivalent footprint.
 const MIN_PAYLOAD_REDUCTION: f64 = 0.25;
 
-/// The workload whose payload reduction and memo activity are gated.
+/// The workload whose payload reduction is gated.
 const GATED_WORKLOAD: &str = "bake";
 
 fn main() {
@@ -115,16 +111,11 @@ fn main() {
         timer.count(&format!("{name}.union_hit_rate_x100"), (s.union_hit_rate() * 100.0) as u64);
         timer.count(&format!("{name}.insert_hits"), s.insert_hits as u64);
         timer.count(&format!("{name}.insert_misses"), s.insert_misses as u64);
-        // Level 2: the region memo in the fixpoint engine.
-        let hits = result.stats.scc_fingerprint_hits;
-        let skipped = result.stats.scc_solves_skipped;
-        timer.count(&format!("{name}.scc_fingerprint_hits"), hits as u64);
-        timer.count(&format!("{name}.scc_solves_skipped"), skipped as u64);
 
         let reduction = payload_reduction(s.unique_set_bytes, s.flat_equiv_bytes);
         println!(
             "{name}: {:.3}s, peak {:.2} MiB, {} unique sets ({:.2} MiB payload, {:.1}% below \
-             flat) in {} chunks, union hit rate {:.1}%, scc memo {hits} hits / {skipped} skips",
+             flat) in {} chunks, union hit rate {:.1}%",
             elapsed.as_secs_f64(),
             peak as f64 / (1 << 20) as f64,
             s.unique_sets,
@@ -154,25 +145,19 @@ fn main() {
                 }
                 None => failures.push(format!("{name}: baseline has no `{key}` counter")),
             }
-            if name == GATED_WORKLOAD {
-                if reduction < MIN_PAYLOAD_REDUCTION {
-                    failures.push(format!(
-                        "{name}: set payload only {:.1}% below flat-equivalent \
-                         (need >= {:.0}%)",
-                        100.0 * reduction,
-                        100.0 * MIN_PAYLOAD_REDUCTION
-                    ));
-                }
-                if skipped == 0 {
-                    failures.push(format!("{name}: region memo skipped zero solves"));
-                }
+            if name == GATED_WORKLOAD && reduction < MIN_PAYLOAD_REDUCTION {
+                failures.push(format!(
+                    "{name}: set payload only {:.1}% below flat-equivalent (need >= {:.0}%)",
+                    100.0 * reduction,
+                    100.0 * MIN_PAYLOAD_REDUCTION
+                ));
             }
         }
     }
 
     if gate.is_some() {
         if failures.is_empty() {
-            println!("MDE gate OK: peak within bounds, payload dedup and region memo active");
+            println!("MDE gate OK: peak within bounds, payload dedup active");
             return;
         }
         for f in &failures {

@@ -63,7 +63,7 @@ fn findings_identical_across_solvers_and_jobs() {
         let sfs = vsfs_core::run_sfs(&p.prog, &p.aux, &p.mssa, &p.svfg);
         let reference = run_checkers(&p.prog, &p.svfg, &FlowView(&sfs));
         for jobs in [1usize, 2, 8] {
-            let opts = IncrementalOptions { solver: SolverKind::Vsfs, jobs, ..Default::default() };
+            let opts = IncrementalOptions { solver: SolverKind::Vsfs, jobs };
             let vsfs = solve(&p.prog, &p.aux, Some((&p.mssa, &p.svfg)), &opts, None).result;
             let findings = run_checkers(&p.prog, &p.svfg, &FlowView(&vsfs));
             assert_eq!(
@@ -71,34 +71,6 @@ fn findings_identical_across_solvers_and_jobs() {
                 "{}: VSFS --jobs {jobs} findings differ from SFS (paths included)",
                 case.name
             );
-        }
-    }
-}
-
-#[test]
-fn region_memo_on_off_results_bit_identical() {
-    // The SCC-level memo only skips provable no-op transfers, so every
-    // corpus program must produce the same points-to sets, call graph,
-    // and checker findings (paths included) with it on and off.
-    let off = vsfs_core::SolveConfig { region_memo: false, ..Default::default() };
-    let on = vsfs_core::SolveConfig::default();
-    for case in corpus() {
-        let p = pipeline(&case.source);
-        for solver in [SolverKind::Sfs, SolverKind::Vsfs] {
-            let name = solver.name();
-            let run = |config| {
-                let opts = IncrementalOptions { solver, config, ..Default::default() };
-                solve(&p.prog, &p.aux, Some((&p.mssa, &p.svfg)), &opts, None).result
-            };
-            let base = run(off);
-            let memo = run(on);
-            assert_eq!(base.stats.scc_solves_skipped, 0, "{}/{name}: memo off", case.name);
-            if let Some(diff) = vsfs_core::precision_diff(&p.prog, &base, &memo) {
-                panic!("{}/{name}: memo on diverges from memo off: {diff}", case.name);
-            }
-            let f_base = run_checkers(&p.prog, &p.svfg, &FlowView(&base));
-            let f_memo = run_checkers(&p.prog, &p.svfg, &FlowView(&memo));
-            assert_eq!(f_base, f_memo, "{}/{name}: findings differ with memo on", case.name);
         }
     }
 }

@@ -87,11 +87,8 @@ fn random_findings_identical_across_jobs() {
             let sfs = vsfs_core::run_sfs(&prog, &aux, &mssa, &svfg);
             let reference = run_checkers(&prog, &svfg, &FlowView(&sfs));
             for jobs in [1usize, 2, 8] {
-                let opts = vsfs_core::IncrementalOptions {
-                    solver: vsfs_core::SolverKind::Vsfs,
-                    jobs,
-                    ..Default::default()
-                };
+                let opts =
+                    vsfs_core::IncrementalOptions { solver: vsfs_core::SolverKind::Vsfs, jobs };
                 let vsfs = vsfs_core::solve(&prog, &aux, Some((&mssa, &svfg)), &opts, None).result;
                 let findings = run_checkers(&prog, &svfg, &FlowView(&vsfs));
                 assert_eq!(findings, reference, "seed {}: jobs {jobs} diverged", cfg.seed);

@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! vsfs [OPTIONS] <program.vir | --corpus NAME | --workload NAME>
-//! vsfs serve [--socket PATH] [--corpus DIR] [--solver NAME] [--order ORDER]
-//!            [--jobs N] [--snapshot-dir DIR] [--workers N] [--queue N]
+//! vsfs serve [--socket PATH] [--corpus DIR] [--solver NAME] [--jobs N]
+//!            [--snapshot-dir DIR] [--workers N] [--queue N]
 //!            [--deadline SECS] [--max-request-bytes N]
 //!
 //! `serve` starts the long-running incremental analysis server (see
@@ -39,20 +39,6 @@
 //!   --jobs N           worker threads for the parallel solver phases
 //!                      (default 1 = sequential; 0 = all cores; results
 //!                      are identical for every N)
-//!   --order ORDER      worklist scheduling for the flow-sensitive
-//!                      fixpoints: `topo` (SCC-condensation topological
-//!                      priority, the default) or `fifo`; the final
-//!                      result is bit-identical either way, only the
-//!                      visit counts change. Rejected with the `ander`
-//!                      and `dense` solvers, whose worklists are not
-//!                      order-switchable.
-//!   --scc-memo MODE    region-level operation memoization in the
-//!                      SFS/VSFS fixpoints: `on` (the default) skips a
-//!                      node's transfer when its SVFG component's input
-//!                      stamp and its operand sets are unchanged since
-//!                      its last run; `off` disables the memo. Results
-//!                      are bit-identical either way (`--stats` reports
-//!                      the hit/skip counts).
 //!
 //! Budgets (any of these switches the run into governed mode):
 //!   --time-budget SECS wall-clock deadline shared by every stage
@@ -104,7 +90,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use vsfs_adt::govern::{Budget, CancelToken, Completion, DegradeReason, Governor};
 use vsfs_adt::mem::CountingAlloc;
-use vsfs_core::{FlowSensitiveResult, IncrementalOptions, SolveOrder, SolverKind};
+use vsfs_core::{FlowSensitiveResult, IncrementalOptions, SolverKind};
 use vsfs_ir::Program;
 use vsfs_testkit::FaultPlan;
 
@@ -132,11 +118,6 @@ struct Options {
     check: bool,
     check_json: Option<String>,
     jobs: usize,
-    /// `Some` only when `--order` was given explicitly.
-    order: Option<SolveOrder>,
-    /// `--scc-memo`: region-level operation memoization in the SFS/VSFS
-    /// fixpoints (default on; results are bit-identical either way).
-    scc_memo: bool,
     time_budget: Option<f64>,
     step_budget: Option<u64>,
     mem_budget_mib: Option<usize>,
@@ -144,16 +125,6 @@ struct Options {
 }
 
 impl Options {
-    fn order(&self) -> SolveOrder {
-        self.order.unwrap_or_default()
-    }
-
-    /// The full sparse-fixpoint configuration: worklist order plus the
-    /// region memo switch.
-    fn config(&self) -> vsfs_core::SolveConfig {
-        vsfs_core::SolveConfig { order: self.order(), region_memo: self.scc_memo }
-    }
-
     fn governed(&self) -> bool {
         self.time_budget.is_some()
             || self.step_budget.is_some()
@@ -171,8 +142,7 @@ enum Input {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: vsfs [--solver ander|dense|sfs|vsfs|cfgfree|unify] \
-         [--jobs N] [--order fifo|topo] [--scc-memo on|off] \
+        "usage: vsfs [--solver ander|dense|sfs|vsfs|cfgfree|unify] [--jobs N] \
          [--time-budget SECS] [--step-budget N] [--mem-budget MIB] [--inject-fault KIND:SEED] \
          [--print-pts] [--print-callgraph] [--precision-report] [--dot-svfg FILE] \
          [--check] [--check-json FILE] [--stats] \
@@ -196,10 +166,10 @@ fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
     }
 }
 
-/// Parses a named-choice flag (`--solver`, `--order`, `--scc-memo`, in both
-/// the driver and `serve`): one place constructs the typed unknown-name
-/// error, so every such flag reports a missing value, the offending
-/// name, and the accepted names the same way, exiting with code 1.
+/// Parses a named-choice flag (`--solver`, in both the driver and
+/// `serve`): one place constructs the typed unknown-name error, so every
+/// such flag reports a missing value, the offending name, and the
+/// accepted names the same way, exiting with code 1.
 fn name_value<T>(
     flag: &str,
     value: Option<String>,
@@ -224,8 +194,6 @@ fn parse_args() -> Options {
     let mut check = false;
     let mut check_json = None;
     let mut jobs = 1usize;
-    let mut order = None;
-    let mut scc_memo = true;
     let mut time_budget = None;
     let mut step_budget = None;
     let mut mem_budget_mib = None;
@@ -234,18 +202,6 @@ fn parse_args() -> Options {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--jobs" => jobs = flag_value("--jobs", args.next()),
-            "--order" => {
-                order =
-                    Some(name_value("--order", args.next(), "`fifo` or `topo`", SolveOrder::parse));
-            }
-            "--scc-memo" => {
-                scc_memo =
-                    name_value("--scc-memo", args.next(), "`on` or `off`", |name| match name {
-                        "on" => Some(true),
-                        "off" => Some(false),
-                        _ => None,
-                    });
-            }
             "--time-budget" => {
                 let secs: f64 = flag_value("--time-budget", args.next());
                 if !secs.is_finite() || secs < 0.0 {
@@ -322,8 +278,6 @@ fn parse_args() -> Options {
         check,
         check_json,
         jobs,
-        order,
-        scc_memo,
         time_budget,
         step_budget,
         mem_budget_mib,
@@ -401,32 +355,11 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(1);
     }
-    if opts.order.is_some() && opts.analysis == Analysis::Andersen {
-        eprintln!(
-            "error: --order schedules the flow-sensitive fixpoints \
-             (--solver dense|sfs|vsfs|cfgfree); Andersen's solver is not order-switchable"
-        );
-        return ExitCode::from(1);
-    }
-    if opts.order.is_some() && opts.analysis == Analysis::Flow(SolverKind::Dense) {
-        eprintln!(
-            "error: --order schedules the sparse fixpoints (--solver sfs|vsfs|cfgfree); \
-             the dense solver's FIFO worklist is not order-switchable"
-        );
-        return ExitCode::from(1);
-    }
-    if opts.order.is_some() && opts.analysis == Analysis::Flow(SolverKind::Unify) {
-        eprintln!(
-            "error: --order schedules the sparse fixpoints (--solver sfs|vsfs|cfgfree); \
-             the unification solver's worklist is not order-switchable"
-        );
-        return ExitCode::from(1);
-    }
     run(&opts, &prog)
 }
 
 /// `vsfs serve [--socket PATH] [--corpus DIR] [--solver NAME]
-/// [--order ORDER] [--jobs N] [--snapshot-dir DIR] [--workers N]
+/// [--jobs N] [--snapshot-dir DIR] [--workers N]
 /// [--queue N] [--deadline SECS] [--max-request-bytes N]` — the
 /// long-running incremental analysis server (line-delimited JSON on
 /// stdin/stdout, or on a Unix socket with `--socket`). `--corpus DIR`
@@ -453,10 +386,6 @@ fn run_serve(args: Vec<String>) -> ExitCode {
             "--deadline" => config.default_time_budget = Some(flag_value("--deadline", it.next())),
             "--max-request-bytes" => {
                 config.max_request_bytes = flag_value("--max-request-bytes", it.next())
-            }
-            "--order" => {
-                config.opts.config.order =
-                    name_value("--order", it.next(), "`fifo` or `topo`", SolveOrder::parse);
             }
             "--solver" => {
                 config.opts.solver = name_value(
@@ -700,7 +629,7 @@ fn run(opts: &Options, prog: &Program) -> ExitCode {
         Governor::with_cancel(stage_budget(opts, true), cancel)
             .with_fault(opts.inject_fault.as_ref().and_then(FaultPlan::spec))
     });
-    let request = IncrementalOptions { solver: kind, config: opts.config(), jobs: opts.jobs };
+    let request = IncrementalOptions { solver: kind, jobs: opts.jobs };
     let ga = vsfs_core::solve(
         prog,
         &aux,
@@ -771,9 +700,6 @@ fn print_stats(
 ) {
     println!("solver:            {}", kind.name());
     println!("jobs:              {}", opts.jobs);
-    if kind != SolverKind::Dense && kind != SolverKind::Unify {
-        println!("order:             {}", opts.order().name());
-    }
     println!("andersen:          {:.3}s", aux_time.as_secs_f64());
     if let Some((_, build_time)) = staged {
         println!("mssa + svfg:       {:.3}s", build_time.as_secs_f64());
@@ -828,14 +754,6 @@ fn print_stats(
     println!("would-change:      {} fast, {} slow", st.would_change_fast, st.would_change_slow);
     println!("strong updates:    {}", s.strong_updates);
     println!("calls activated:   {}", s.calls_activated);
-    if kind == SolverKind::Sfs || kind == SolverKind::Vsfs {
-        println!(
-            "scc memo:          {} fingerprint hits, {} solves skipped{}",
-            s.scc_fingerprint_hits,
-            s.scc_solves_skipped,
-            if opts.scc_memo { "" } else { " (disabled)" }
-        );
-    }
     if let Some((svfg, _)) = staged {
         println!(
             "svfg: {} nodes, {} direct edges, {} indirect edges",

@@ -206,75 +206,14 @@ fn tight_wall_clock_deadline_degrades_not_errors() {
 }
 
 #[test]
-fn fifo_and_topo_orders_print_identical_results() {
-    for analysis in ["--fspta", "--vfspta"] {
-        let fifo = vsfs(&[
-            analysis,
-            "--order",
-            "fifo",
-            "--corpus",
-            "fptr_dispatch",
-            "--print-pts",
-            "--print-callgraph",
-        ]);
-        let topo = vsfs(&[
-            analysis,
-            "--order",
-            "topo",
-            "--corpus",
-            "fptr_dispatch",
-            "--print-pts",
-            "--print-callgraph",
-        ]);
-        assert!(fifo.status.success() && topo.status.success());
-        assert_eq!(fifo.stdout, topo.stdout, "{analysis}: orders must agree");
-    }
-}
-
-#[test]
 fn stats_report_scheduling_counters() {
     let out = vsfs(&["--workload", "du", "--stats"]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("order:             topo"), "{stdout}");
     assert!(stdout.contains("slot pops:"), "{stdout}");
     assert!(stdout.contains("pushes suppressed:"), "{stdout}");
     assert!(stdout.contains("unions avoided:"), "{stdout}");
     assert!(stdout.contains("delta bytes:"), "{stdout}");
-}
-
-#[test]
-fn bad_order_value_is_a_typed_error_with_exit_one() {
-    let out = vsfs(&["--corpus", "strong_update", "--order", "lifo"]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("invalid value `lifo` for --order"), "{stderr}");
-}
-
-#[test]
-fn order_with_andersen_is_rejected() {
-    let out = vsfs(&["--ander", "--order", "topo", "--corpus", "strong_update"]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--order"), "{stderr}");
-}
-
-#[test]
-fn governed_run_accepts_explicit_order() {
-    for order in ["fifo", "topo"] {
-        let out = vsfs(&[
-            "--corpus",
-            "strong_update",
-            "--order",
-            order,
-            "--step-budget",
-            "1000000",
-            "--print-pts",
-        ]);
-        assert!(out.status.success(), "{order}: {out:?}");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.contains("pt(@main::%before) = {First}"), "{order}: {stdout}");
-    }
 }
 
 #[test]
@@ -300,14 +239,6 @@ fn unknown_solver_value_gets_the_typed_error_shape() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("invalid value `bogus` for --solver"), "{stderr}");
     assert!(stderr.contains("`unify`"), "{stderr}");
-}
-
-#[test]
-fn order_with_unify_is_rejected() {
-    let out = vsfs(&["--solver", "unify", "--order", "topo", "--corpus", "strong_update"]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("not order-switchable"), "{stderr}");
 }
 
 #[test]

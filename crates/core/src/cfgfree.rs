@@ -39,11 +39,10 @@
 //! them (enforced by `tests/equivalence.rs` and the CI solver gate).
 
 use crate::result::{FlowSensitiveResult, SolveStats};
-use crate::schedule::SolveOrder;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, Governor};
-use vsfs_adt::{IndexVec, PointsToSet, PtsId, PtsStore, Worklist};
+use vsfs_adt::{IndexVec, PointsToSet, PriorityWorklist, PtsId, PtsStore};
 use vsfs_andersen::AndersenResult;
 use vsfs_graph::{condensation_ranks, DiGraph};
 use vsfs_ir::{Callee, Cfg, DefUse, FuncId, InstId, InstKind, ObjId, Program, ValueId};
@@ -52,25 +51,23 @@ use vsfs_mssa::ModRef;
 
 const EMPTY: PtsId = PtsStore::<ObjId>::EMPTY;
 
-/// Runs the CFG-free solver to a fixpoint under the default
-/// (topological) schedule. Unlike [`crate::run_sfs`]/[`crate::run_vsfs`]
-/// it takes no memory SSA and no SVFG — the Andersen result is the
-/// whole pipeline.
+/// Runs the CFG-free solver to a fixpoint. Unlike
+/// [`crate::run_sfs`]/[`crate::run_vsfs`] it takes no memory SSA and no
+/// SVFG — the Andersen result is the whole pipeline.
 pub fn run_cfgfree(prog: &Program, aux: &AndersenResult) -> FlowSensitiveResult {
-    solve_impl(prog, aux, None, SolveOrder::default()).0
+    solve_impl(prog, aux, None).0
 }
 
-/// The CFG-free fixpoint under an explicit worklist [`SolveOrder`],
-/// optionally under a [`Governor`] (one cooperative checkpoint per
-/// worklist pop). Dispatched by [`crate::solve`].
+/// The CFG-free fixpoint, optionally under a [`Governor`] (one
+/// cooperative checkpoint per worklist pop). Dispatched by
+/// [`crate::solve`].
 pub(crate) fn solve_impl(
     prog: &Program,
     aux: &AndersenResult,
     governor: Option<&Governor>,
-    order: SolveOrder,
 ) -> (FlowSensitiveResult, Completion) {
     let start = Instant::now();
-    let mut solver = CfgFreeSolver::new(prog, aux, order);
+    let mut solver = CfgFreeSolver::new(prog, aux);
     for i in prog.insts.indices() {
         solver.worklist.push(i);
     }
@@ -157,12 +154,12 @@ struct CfgFreeSolver<'a> {
     producers: Vec<Vec<u32>>,
     /// Instructions to re-run when a use's accumulated value grows.
     consumers: Vec<Vec<InstId>>,
-    worklist: Worklist<InstId>,
+    worklist: PriorityWorklist<InstId>,
     stats: SolveStats,
 }
 
 impl<'a> CfgFreeSolver<'a> {
-    fn new(prog: &'a Program, aux: &'a AndersenResult, order: SolveOrder) -> Self {
+    fn new(prog: &'a Program, aux: &'a AndersenResult) -> Self {
         let modref = ModRef::compute(prog, aux);
         let annots = annotate(prog, aux, &modref);
         let singletons = vsfs_andersen::compute_singletons(prog, &aux.callgraph);
@@ -193,15 +190,12 @@ impl<'a> CfgFreeSolver<'a> {
             uval: Vec::new(),
             producers: Vec::new(),
             consumers: Vec::new(),
-            worklist: Worklist::fifo(prog.insts.len()),
+            worklist: PriorityWorklist::new(Vec::new()),
             stats: SolveStats::default(),
         };
         solver.build_events(&annots);
         solver.build_reach();
-        solver.worklist = match order {
-            SolveOrder::Fifo => Worklist::fifo(prog.insts.len()),
-            SolveOrder::Topo => Worklist::priority(solver.inst_ranks()),
-        };
+        solver.worklist = PriorityWorklist::new(solver.inst_ranks());
         solver
     }
 
@@ -417,7 +411,7 @@ impl<'a> CfgFreeSolver<'a> {
     /// graph: SSA def-use edges, memory reach edges, parameter flow,
     /// and every *candidate* call binding from the auxiliary call
     /// graph (so edges activated mid-solve are already ranked —
-    /// mirroring `schedule::svfg_schedule`).
+    /// mirroring `schedule::svfg_ranks`).
     fn inst_ranks(&self) -> Vec<u32> {
         let mut g: DiGraph<InstId> = DiGraph::with_nodes(self.prog.insts.len());
         for v in self.prog.values.indices() {
@@ -882,31 +876,6 @@ mod tests {
                 "cfgfree must be query-identical to sfs"
             );
         }
-    }
-
-    #[test]
-    fn fifo_and_topo_orders_agree() {
-        let src = r#"
-            func @id(%x) {
-            entry:
-              ret %x
-            }
-            func @main() {
-            entry:
-              %p = alloc stack P
-              %h = alloc heap H
-              store %h, %p
-              %v = load %p
-              %r = call @id(%v)
-              ret
-            }
-            "#;
-        let prog = parse_program(src).unwrap();
-        vsfs_ir::verify::verify(&prog).unwrap();
-        let aux = vsfs_andersen::analyze(&prog);
-        let fifo = solve_impl(&prog, &aux, None, SolveOrder::Fifo).0;
-        let topo = solve_impl(&prog, &aux, None, SolveOrder::Topo).0;
-        assert_eq!(crate::precision_diff(&prog, &fifo, &topo), None);
     }
 
     #[test]

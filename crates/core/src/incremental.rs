@@ -61,7 +61,6 @@
 //! from-scratch solves of the same text.
 
 use crate::result::{FlowSensitiveResult, GovernedAnalysis};
-use crate::schedule::SolveConfig;
 use crate::sfs::{run_sfs_seeded, SfsHarvest, SfsSeed};
 use crate::solver::{solve, SolverKind};
 use std::collections::{HashMap, HashSet};
@@ -93,10 +92,6 @@ pub struct IncrementalOptions {
     /// SVFG-wave invalidation; cold-only solvers skip both and serve
     /// every edit by an exact cold re-solve.
     pub solver: SolverKind,
-    /// Worklist order and region memo of the flow-sensitive stage
-    /// (results are identical under every configuration; only visit
-    /// counts change).
-    pub config: SolveConfig,
     /// Worker threads for the auxiliary Andersen stage and for VSFS
     /// versioning (`0` = all cores; results are identical for every
     /// value).
@@ -108,7 +103,7 @@ impl Default for IncrementalOptions {
         // The server's historical engine is the staged SFS solver (the
         // seeded/incremental one); `SolverKind::default()` is the CLI's
         // batch default and intentionally differs.
-        IncrementalOptions { solver: SolverKind::Sfs, config: SolveConfig::default(), jobs: 1 }
+        IncrementalOptions { solver: SolverKind::Sfs, jobs: 1 }
     }
 }
 
@@ -423,15 +418,8 @@ pub(crate) fn solve_front(
     }
     let staged = front.staged.as_ref().expect("checked above");
     let total = staged.svfg.node_count();
-    let (result, completion, harvest) = run_sfs_seeded(
-        &front.prog,
-        &front.aux,
-        &staged.mssa,
-        &staged.svfg,
-        opts.config,
-        fs_governor,
-        None,
-    );
+    let (result, completion, harvest) =
+        run_sfs_seeded(&front.prog, &front.aux, &staged.mssa, &staged.svfg, fs_governor, None);
     let outcome = Outcome {
         incremental: false,
         restored: false,
@@ -719,7 +707,6 @@ fn solve_incremental(
             &front.aux,
             &staged.mssa,
             &staged.svfg,
-            opts.config,
             fs_governor,
             Some(seed),
         );

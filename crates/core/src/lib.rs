@@ -28,7 +28,7 @@
 //! two above, the dense oracle, the CFG-free solver and the unification
 //! tier) from one request ([`IncrementalOptions`]), optionally under a
 //! resource governor, and returns a [`GovernedAnalysis`]. The plain
-//! `run_*` functions are the default-configuration references.
+//! `run_*` functions are the ungoverned references.
 //!
 //! # Examples
 //!
@@ -60,9 +60,8 @@ pub mod dense;
 pub mod incremental;
 pub mod precision;
 pub mod queries;
-mod region;
 pub mod result;
-pub mod schedule;
+mod schedule;
 pub mod sfs;
 pub mod solver;
 pub mod toplevel;
@@ -80,7 +79,6 @@ pub use precision::{compare_precision, PrecisionReport};
 pub use result::{
     precision_diff, same_precision, FlowSensitiveResult, GovernedAnalysis, SolveStats,
 };
-pub use schedule::{SolveConfig, SolveOrder};
 pub use sfs::run_sfs;
 pub use solver::{solve, SolverCaps, SolverKind};
 pub use versioning::{VersionTables, VersioningStats};

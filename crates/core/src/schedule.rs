@@ -1,12 +1,14 @@
-//! Fixpoint scheduling: worklist order selection and rank computation.
+//! Fixpoint scheduling: worklist rank computation.
 //!
-//! Both flow-sensitive solvers drain monotone constraint systems, so the
-//! worklist policy changes only *when* work happens — the final fixpoint
-//! is the same unique least solution under any order. What the order does
+//! The staged solvers drain monotone constraint systems, so the worklist
+//! order changes only *when* work happens — the final fixpoint is the
+//! same unique least solution under any order. What the order does
 //! change is how much redundant work the fixpoint performs: a FIFO
 //! worklist re-visits a node every time any input grows, while a
 //! topological (SCC-condensation) order lets producers settle before
 //! consumers run, so most nodes are popped close to once per growth wave.
+//! Every flow-sensitive solver except the dense oracle therefore pops by
+//! rank (DESIGN.md §8).
 //!
 //! Ranks are computed once per solve from the *static* dependence graph
 //! (SVFG edges plus every possible on-the-fly call binding for node
@@ -16,65 +18,11 @@
 //! unsound — only locally non-topological, costing at worst extra
 //! re-visits.
 
-use vsfs_graph::{condensation_ranks, DiGraph, Sccs};
+use vsfs_graph::{condensation_ranks, DiGraph};
 use vsfs_ir::{InstId, Program};
 use vsfs_svfg::{Svfg, SvfgNodeId};
 
 use crate::versioning::VersionTables;
-
-/// Worklist scheduling policy for the flow-sensitive fixpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolveOrder {
-    /// Plain FIFO: elements pop in enqueue order.
-    Fifo,
-    /// SCC-condensation topological order: producers before consumers,
-    /// FIFO within a cycle. The default.
-    #[default]
-    Topo,
-}
-
-/// Configuration of the staged flow-sensitive fixpoints (SFS/VSFS).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolveConfig {
-    /// Worklist scheduling policy.
-    pub order: SolveOrder,
-    /// Region-level operation memoization (see `crate::region`): skip a
-    /// node pop when its SVFG component's input stamp and its top-level
-    /// operand sets are unchanged since the node last ran. The fixpoint
-    /// is bit-identical either way; default on.
-    pub region_memo: bool,
-}
-
-impl Default for SolveConfig {
-    fn default() -> Self {
-        SolveConfig { order: SolveOrder::default(), region_memo: true }
-    }
-}
-
-impl From<SolveOrder> for SolveConfig {
-    fn from(order: SolveOrder) -> Self {
-        SolveConfig { order, ..SolveConfig::default() }
-    }
-}
-
-impl SolveOrder {
-    /// Parses a CLI-facing order name.
-    pub fn parse(s: &str) -> Option<SolveOrder> {
-        match s {
-            "fifo" => Some(SolveOrder::Fifo),
-            "topo" => Some(SolveOrder::Topo),
-            _ => None,
-        }
-    }
-
-    /// The CLI-facing name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SolveOrder::Fifo => "fifo",
-            SolveOrder::Topo => "topo",
-        }
-    }
-}
 
 /// The deferred `(call, callee)` bindings of `svfg` in a deterministic
 /// order. The underlying map is hash-keyed, so anything order-sensitive
@@ -109,18 +57,9 @@ fn svfg_dep_graph(prog: &Program, svfg: &Svfg) -> DiGraph<SvfgNodeId> {
     g
 }
 
-/// Worklist ranks *and* SCC component ids per SVFG node, from one
-/// dependence-graph build. Ranks order the topological worklist;
-/// component ids key the region memo's input stamps. The two are
-/// distinct: independent SCCs at the same condensation depth share a
-/// rank but must not share a stamp, or unrelated deliveries would
-/// invalidate each other's regions.
-pub(crate) fn svfg_schedule(prog: &Program, svfg: &Svfg) -> (Vec<u32>, Vec<u32>) {
-    let g = svfg_dep_graph(prog, svfg);
-    let ranks = condensation_ranks(&g);
-    let sccs = Sccs::compute(&g);
-    let comps = svfg.node_ids().map(|n| sccs.component(n)).collect();
-    (ranks, comps)
+/// Topological ranks for the SVFG node worklist.
+pub(crate) fn svfg_ranks(prog: &Program, svfg: &Svfg) -> Vec<u32> {
+    condensation_ranks(&svfg_dep_graph(prog, svfg))
 }
 
 /// Topological ranks for the VSFS version-slot worklist.
@@ -169,17 +108,6 @@ mod tests {
     use vsfs_mssa::MemorySsa;
 
     #[test]
-    fn order_parses_and_round_trips() {
-        assert_eq!(SolveOrder::parse("fifo"), Some(SolveOrder::Fifo));
-        assert_eq!(SolveOrder::parse("topo"), Some(SolveOrder::Topo));
-        assert_eq!(SolveOrder::parse("lifo"), None);
-        assert_eq!(SolveOrder::default(), SolveOrder::Topo);
-        for o in [SolveOrder::Fifo, SolveOrder::Topo] {
-            assert_eq!(SolveOrder::parse(o.name()), Some(o));
-        }
-    }
-
-    #[test]
     fn ranks_follow_store_load_chains() {
         let prog = parse_program(
             r#"
@@ -197,12 +125,8 @@ mod tests {
         let aux = vsfs_andersen::analyze(&prog);
         let mssa = MemorySsa::build(&prog, &aux);
         let svfg = Svfg::build(&prog, &aux, &mssa);
-        let (ranks, comps) = svfg_schedule(&prog, &svfg);
+        let ranks = svfg_ranks(&prog, &svfg);
         assert_eq!(ranks.len(), svfg.node_count());
-        assert_eq!(comps.len(), svfg.node_count());
-        // This graph is acyclic, so component ids are distinct per node.
-        let distinct: std::collections::HashSet<u32> = comps.iter().copied().collect();
-        assert_eq!(distinct.len(), svfg.node_count());
         // Every static edge is (weakly) rank-ordered.
         for n in svfg.node_ids() {
             for &(s, _) in svfg.indirect_succs(n) {

@@ -130,10 +130,8 @@ impl SolverKind {
 ///
 /// `staged` carries the memory SSA and SVFG; the staged solvers (those
 /// whose [`SolverCaps::needs_svfg`] is set) require it, the others
-/// ignore it. `opts.config` sets the worklist order and region memo
-/// (cfgfree takes only the order; dense and unify take neither), and
-/// `opts.jobs` sizes VSFS versioning. Results are identical under every
-/// configuration.
+/// ignore it. `opts.jobs` sizes VSFS versioning; results are identical
+/// for every value.
 ///
 /// Without a `governor` the run always completes. With one, every
 /// solver checkpoints cooperatively, and a trip delivers the sound
@@ -155,7 +153,7 @@ pub fn solve(
         SolverKind::Dense => deliver(dense::solve_impl(prog, aux, governor)),
         SolverKind::Sfs => {
             let (mssa, svfg) = staged();
-            deliver(sfs::solve_inner(prog, aux, mssa, svfg, governor, opts.config))
+            deliver(sfs::solve_inner(prog, aux, mssa, svfg, governor))
         }
         SolverKind::Vsfs => {
             let (mssa, svfg) = staged();
@@ -169,9 +167,9 @@ pub fn solve(
                     vt.result
                 }
             };
-            deliver(vsfs::solve_with_tables(prog, aux, mssa, svfg, tables, governor, opts.config))
+            deliver(vsfs::solve_with_tables(prog, aux, mssa, svfg, tables, governor))
         }
-        SolverKind::CfgFree => deliver(cfgfree::solve_impl(prog, aux, governor, opts.config.order)),
+        SolverKind::CfgFree => deliver(cfgfree::solve_impl(prog, aux, governor)),
         SolverKind::Unify => {
             let unify = match governor {
                 None => analyze_unify(prog),

@@ -14,7 +14,7 @@
 //! layers are stored once and repeated unions hit the store's memo.
 
 use std::collections::{HashMap, HashSet};
-use vsfs_adt::{IndexVec, PointsToSet, PtsId, PtsStore, Worklist};
+use vsfs_adt::{IndexVec, PointsToSet, PriorityWorklist, PtsId, PtsStore};
 use vsfs_andersen::AndersenResult;
 use vsfs_ir::{Callee, DefUse, FuncId, InstId, InstKind, ObjId, Program, ValueId};
 use vsfs_svfg::{Svfg, SvfgNodeId};
@@ -127,7 +127,7 @@ impl<'a> TopLevel<'a> {
         &mut self,
         v: ValueId,
         add: PtsId,
-        worklist: &mut Worklist<SvfgNodeId>,
+        worklist: &mut PriorityWorklist<SvfgNodeId>,
     ) -> bool {
         let new = self.store.union(self.pt[v], add);
         if new == self.pt[v] {
@@ -143,7 +143,7 @@ impl<'a> TopLevel<'a> {
         &mut self,
         v: ValueId,
         obj: ObjId,
-        worklist: &mut Worklist<SvfgNodeId>,
+        worklist: &mut PriorityWorklist<SvfgNodeId>,
     ) -> bool {
         let new = self.store.insert(self.pt[v], obj);
         if new == self.pt[v] {
@@ -154,7 +154,7 @@ impl<'a> TopLevel<'a> {
         true
     }
 
-    fn enqueue_uses(&self, v: ValueId, worklist: &mut Worklist<SvfgNodeId>) {
+    fn enqueue_uses(&self, v: ValueId, worklist: &mut PriorityWorklist<SvfgNodeId>) {
         for &u in self.defuse.uses(v) {
             worklist.push(self.svfg.inst_node(u));
         }
@@ -167,7 +167,7 @@ impl<'a> TopLevel<'a> {
     pub fn transfer(
         &mut self,
         inst: InstId,
-        worklist: &mut Worklist<SvfgNodeId>,
+        worklist: &mut PriorityWorklist<SvfgNodeId>,
         newly_activated: &mut Vec<(InstId, FuncId)>,
     ) {
         match &self.prog.insts[inst].kind {
@@ -244,7 +244,7 @@ impl<'a> TopLevel<'a> {
         &mut self,
         call: InstId,
         callee: FuncId,
-        worklist: &mut Worklist<SvfgNodeId>,
+        worklist: &mut PriorityWorklist<SvfgNodeId>,
         newly_activated: &mut Vec<(InstId, FuncId)>,
     ) {
         if !self.activated.insert((call, callee)) {

@@ -17,21 +17,19 @@
 //! version worklist touches far fewer sets than SFS's per-node `IN`/`OUT`
 //! propagation — the paper's single-object sparsity.
 
-use crate::region::RegionMemo;
 use crate::result::{FlowSensitiveResult, SolveStats};
-use crate::schedule::{slot_ranks, svfg_schedule, SolveConfig, SolveOrder};
+use crate::schedule::{slot_ranks, svfg_ranks};
 use crate::toplevel::{TopLevel, EMPTY};
 use crate::versioning::{VersionSlot, VersionTables};
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, Governor};
-use vsfs_adt::{PtsId, Worklist};
+use vsfs_adt::{PriorityWorklist, PtsId};
 use vsfs_andersen::AndersenResult;
 use vsfs_ir::{FuncId, InstId, InstKind, ObjId, Program};
 use vsfs_mssa::MemorySsa;
 use vsfs_svfg::{Svfg, SvfgNodeId, SvfgNodeKind};
 
-/// Runs versioning and the VSFS solver under the default (topological)
-/// schedule.
+/// Runs versioning and the VSFS solver to a fixpoint.
 pub fn run_vsfs(
     prog: &Program,
     aux: &AndersenResult,
@@ -51,7 +49,7 @@ pub fn run_vsfs_with_tables(
     svfg: &Svfg,
     tables: VersionTables,
 ) -> FlowSensitiveResult {
-    solve_with_tables(prog, aux, mssa, svfg, tables, None, SolveConfig::default()).0
+    solve_with_tables(prog, aux, mssa, svfg, tables, None).0
 }
 
 /// The VSFS fixpoint over pre-built tables, optionally under a
@@ -63,11 +61,10 @@ pub(crate) fn solve_with_tables(
     svfg: &Svfg,
     tables: VersionTables,
     governor: Option<&Governor>,
-    config: SolveConfig,
 ) -> (FlowSensitiveResult, Completion) {
     let versioning = tables.stats;
     let start = Instant::now();
-    let mut solver = VsfsSolver::new(prog, aux, mssa, svfg, tables, config);
+    let mut solver = VsfsSolver::new(prog, aux, mssa, svfg, tables);
     let completion = solver.solve_governed(governor);
     let mut stats = solver.stats;
     stats.solve_seconds = start.elapsed().as_secs_f64();
@@ -96,20 +93,14 @@ struct VsfsSolver<'a> {
     /// holding equal sets share one canonical copy.
     vpts: Vec<PtsId>,
     /// Nodes to re-run when a slot's set grows (loads and stores that
-    /// consume it), indexed by slot. The flag is `false` when the
-    /// consumer is a store that statically strong-updates the slot's
-    /// object — it is re-queued (the registration predates the memo) but
-    /// never reads the consumed state, so the growth is not an effective
-    /// input delivery for the region memo.
-    consumers: Vec<Vec<(SvfgNodeId, bool)>>,
-    /// Region-level operation memoization (see `crate::region`).
-    memo: RegionMemo,
+    /// consume it), indexed by slot.
+    consumers: Vec<Vec<SvfgNodeId>>,
     /// Difference-propagation frontier per reliance edge: the set id last
     /// shipped along `tables.reliance(s)[i]`. Only `diff(value, last)`
     /// crosses an edge again.
     rel_frontier: Vec<Vec<PtsId>>,
-    nodes: Worklist<SvfgNodeId>,
-    slots: Worklist<usize>,
+    nodes: PriorityWorklist<SvfgNodeId>,
+    slots: PriorityWorklist<usize>,
     stats: SolveStats,
 }
 
@@ -120,41 +111,32 @@ impl<'a> VsfsSolver<'a> {
         mssa: &'a MemorySsa,
         svfg: &'a Svfg,
         tables: VersionTables,
-        config: SolveConfig,
     ) -> Self {
         let top = TopLevel::new(prog, aux, svfg);
-        let (ranks, comps) = svfg_schedule(prog, svfg);
-        let mut nodes = match config.order {
-            SolveOrder::Fifo => Worklist::fifo(svfg.node_count()),
-            SolveOrder::Topo => Worklist::priority(ranks),
-        };
-        let memo = RegionMemo::new(prog, svfg, comps, config.region_memo);
+        let mut nodes = PriorityWorklist::new(svfg_ranks(prog, svfg));
         for id in svfg.node_ids() {
             nodes.push(id);
         }
-        let slots = match config.order {
-            SolveOrder::Fifo => Worklist::fifo(tables.slot_count() as usize),
-            SolveOrder::Topo => Worklist::priority(slot_ranks(prog, svfg, &tables)),
-        };
+        let slots = PriorityWorklist::new(slot_ranks(prog, svfg, &tables));
         // Register consumers: loads re-run when their consumed slot grows
         // (to extend pt(dst)); stores re-run to weak-update their yield.
         let slot_count = tables.slot_count() as usize;
-        let mut consumers: Vec<Vec<(SvfgNodeId, bool)>> = vec![Vec::new(); slot_count];
+        let mut consumers: Vec<Vec<SvfgNodeId>> = vec![Vec::new(); slot_count];
         for (i, inst) in prog.insts.iter_enumerated() {
             match &inst.kind {
                 InstKind::Load { .. } => {
                     let n = svfg.inst_node(i);
                     for mu in mssa.mus(i) {
                         if let Some(c) = tables.consume_slot(n, mu.obj) {
-                            consumers[c as usize].push((n, true));
+                            consumers[c as usize].push(n);
                         }
                     }
                 }
-                InstKind::Store { addr, .. } => {
+                InstKind::Store { .. } => {
                     let n = svfg.inst_node(i);
                     for chi in mssa.chis(i) {
                         if let Some(c) = tables.consume_slot(n, chi.obj) {
-                            consumers[c as usize].push((n, !top.is_strong_update(*addr, chi.obj)));
+                            consumers[c as usize].push(n);
                         }
                     }
                 }
@@ -171,7 +153,6 @@ impl<'a> VsfsSolver<'a> {
             tables,
             vpts: vec![EMPTY; slot_count],
             consumers,
-            memo,
             rel_frontier,
             nodes,
             slots,
@@ -209,9 +190,7 @@ impl<'a> VsfsSolver<'a> {
                 }
             }
             self.stats.node_pops += 1;
-            if self.memo.admit(node, &self.top.pt, &mut self.stats) {
-                self.process_node(node);
-            }
+            self.process_node(node);
         }
         Completion::Complete
     }
@@ -249,12 +228,7 @@ impl<'a> VsfsSolver<'a> {
 
     fn slot_grew(&mut self, c: VersionSlot) {
         self.slots.push(c as usize);
-        let n_consumers = self.consumers[c as usize].len();
-        for i in 0..n_consumers {
-            let (n, effective) = self.consumers[c as usize][i];
-            if effective {
-                self.memo.invalidate(n);
-            }
+        for &n in &self.consumers[c as usize] {
             self.nodes.push(n);
         }
     }
@@ -332,14 +306,6 @@ impl<'a> VsfsSolver<'a> {
     /// proven `(call, callee)` pair and propagates immediately.
     fn activate_binding(&mut self, call: InstId, callee: FuncId) {
         self.stats.calls_activated += 1;
-        // The grown caller list is input to the callee's `FUNEXIT`
-        // transfer (it publishes its return to the new caller), so the
-        // exit pop `TopLevel::activate` queued must not be skipped. The
-        // entry pop it queued needs no bump: `FUNENTRY` has no transfer,
-        // and caller slot state arrives through the consume edges wired
-        // below, whose deliveries bump on their own.
-        let f = &self.prog.functions[callee];
-        self.memo.invalidate(self.svfg.inst_node(f.exit_inst));
         let Some(binding) = self.svfg.call_binding(call, callee) else {
             return; // direct call: reliance edges were built statically
         };

@@ -159,7 +159,6 @@ pub fn restore_program(
         &front.aux,
         &staged.mssa,
         &staged.svfg,
-        opts.config,
         fs_governor,
         Some(seed),
     );

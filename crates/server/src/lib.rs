@@ -43,6 +43,11 @@
 //! `stats` report the workspace's `solver` and whether warm state is
 //! resident; the SVFG counters are `null` for cold-only solvers.
 //!
+//! `load` and `edit` also accept an optional `"jobs"` (worker threads,
+//! clamped to the machine's available parallelism; results are identical
+//! for every value). A `solver` that is not a string or a `jobs` that is
+//! not a non-negative integer is `bad_request`.
+//!
 //! `load` and `edit` accept optional budgets (`time_budget` seconds,
 //! `step_budget`, `mem_budget_mib`) mirroring the CLI's governed mode:
 //! a flow-sensitive trip delivers the sound Andersen fallback, reported
@@ -112,7 +117,6 @@ use std::time::{Duration, Instant};
 use vsfs_adt::govern::{panic_message, Budget, CancelToken, Governor};
 use vsfs_checkers::{render_finding, run_checkers, FlowView};
 use vsfs_core::queries::AliasQueries;
-use vsfs_core::schedule::SolveOrder;
 use vsfs_core::{
     export_warm, resolve_edit, restore_program, solve_program, IncrementalOptions, ProgramState,
     SolveError, SolveReport, SolverKind,
@@ -300,8 +304,8 @@ fn solve_fields(state: &ProgramState, report: &SolveReport) -> Vec<(&'static str
 }
 
 impl Server {
-    /// A server with default configuration (FIFO order, one job, no
-    /// snapshots).
+    /// A server with default configuration (the staged SFS engine, one
+    /// job, no snapshots).
     pub fn new() -> Server {
         Server::with_config(ServerConfig::default())
     }
@@ -506,27 +510,31 @@ impl Server {
         }
     }
 
+    /// The solve request of a `load`/`edit`: the server defaults, with
+    /// the request's `solver` and `jobs` applied. A field of the wrong
+    /// type is a `bad_request`. `jobs` comes from outside input and sizes
+    /// thread pools, so it is clamped to the machine's parallelism
+    /// (results are identical for every value).
     fn request_opts(&self, req: &Json) -> Result<IncrementalOptions, Json> {
         let mut opts = self.config.opts;
-        if let Some(name) = req.get("solver").and_then(Json::as_str) {
-            opts.solver = match SolverKind::parse(name) {
-                Some(kind) => kind,
-                None => {
-                    return Err(err(
-                        "bad_request",
-                        format!(
-                            "unknown solver '{name}' (expected dense, sfs, vsfs, cfgfree, or unify)"
-                        ),
-                    ))
-                }
-            };
+        if let Some(v) = req.get("solver") {
+            let name =
+                v.as_str().ok_or_else(|| err("bad_request", "field 'solver' must be a string"))?;
+            opts.solver = SolverKind::parse(name).ok_or_else(|| {
+                err(
+                    "bad_request",
+                    format!(
+                        "unknown solver '{name}' (expected dense, sfs, vsfs, cfgfree, or unify)"
+                    ),
+                )
+            })?;
         }
-        if let Some(order) = req.get("order").and_then(Json::as_str) {
-            opts.config.order = SolveOrder::parse(order)
-                .ok_or_else(|| err("bad_request", format!("unknown order '{order}'")))?;
-        }
-        if let Some(jobs) = req.get("jobs").and_then(Json::as_u64) {
-            opts.jobs = (jobs as usize).max(1);
+        if let Some(v) = req.get("jobs") {
+            let jobs = v
+                .as_u64()
+                .ok_or_else(|| err("bad_request", "field 'jobs' must be a non-negative integer"))?;
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            opts.jobs = (jobs as usize).clamp(1, cores);
         }
         Ok(opts)
     }
@@ -1160,6 +1168,34 @@ mod tests {
         assert_eq!(edited.get("incremental"), Some(&Json::Bool(true)));
         assert_eq!(edited.get("dirty_nodes").unwrap().as_u64(), Some(0));
         assert_eq!(edited.get("fingerprint").unwrap().as_str().unwrap(), fp0);
+    }
+
+    #[test]
+    fn request_opts_rejects_wrong_typed_options() {
+        let server = Server::new();
+        let opts = |line: &str| server.request_opts(&json::parse(line).unwrap());
+        for line in [
+            r#"{"op":"load","solver":7}"#,
+            r#"{"op":"edit","solver":["unify"]}"#,
+            r#"{"op":"load","jobs":"4"}"#,
+            r#"{"op":"load","jobs":-1}"#,
+            r#"{"op":"load","jobs":1.5}"#,
+        ] {
+            let e = opts(line).expect_err(line);
+            assert_eq!(error_code(&e).as_deref(), Some("bad_request"), "{line}");
+        }
+        let ok = opts(r#"{"op":"load","solver":"cfgfree","jobs":1}"#).unwrap();
+        assert_eq!((ok.solver, ok.jobs), (SolverKind::CfgFree, 1));
+    }
+
+    #[test]
+    fn request_opts_clamps_jobs_to_the_machine() {
+        let server = Server::new();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let jobs = |line: &str| server.request_opts(&json::parse(line).unwrap()).unwrap().jobs;
+        assert_eq!(jobs(r#"{"op":"load","jobs":1000000}"#), cores);
+        assert_eq!(jobs(r#"{"op":"load","jobs":0}"#), 1);
+        assert_eq!(jobs(r#"{"op":"load"}"#), server.config.opts.jobs);
     }
 
     #[test]

@@ -7,6 +7,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Bench records from this run go here; the tracked baselines under
+# results/ are only read, and the script ends by checking that.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
@@ -89,19 +94,15 @@ fi
 echo "ok: degraded --check exits 2 and falls back to the Andersen finding set"
 
 echo
-echo "== scheduling gate: topo order must cut worklist pops >= 20% vs fifo =="
-cargo run --release -p vsfs-bench --bin scheduling -- --gate 20
-
-echo
-echo "== governed --order topo: degraded run still exits 2 with sound fallback =="
+echo "== governed vsfs: degraded run still exits 2 with sound fallback =="
 rc=0
-out="$(./target/release/vsfs --vfspta --workload ninja --order topo \
+out="$(./target/release/vsfs --vfspta --workload ninja \
        --step-budget 1000 --print-pts)" || rc=$?
 if [ "$rc" -ne 2 ]; then
-  echo "FAIL: governed --order topo exited $rc (want 2: degraded)" >&2
+  echo "FAIL: governed vsfs exited $rc (want 2: degraded)" >&2
   exit 1
 fi
-echo "ok: tiny step budget under topo order degrades soundly with exit 2"
+echo "ok: tiny step budget degrades soundly with exit 2"
 
 echo
 echo "== incremental equivalence: differential edit-sequence property suite =="
@@ -109,21 +110,18 @@ VSFS_PROP_CASES=8 cargo test --release -q --test incremental_equivalence
 
 echo
 echo "== incremental gate: median edit speedup >= 5x vs from-scratch =="
-cargo run --release -p vsfs-bench --bin incremental_bench -- ninja,bake --edits 3 --gate 5
+cargo run --release -p vsfs-bench --bin incremental_bench -- ninja,bake --edits 3 --gate 5 \
+  --out "$tmp/BENCH_incremental.json"
 
 echo
-echo "== parallel scaling record (writes results/BENCH_parallel.json) =="
-cargo run --release -p vsfs-bench --bin parallel_scaling -- lynx --runs 1
+echo "== parallel scaling smoke =="
+cargo run --release -p vsfs-bench --bin parallel_scaling -- lynx --runs 1 \
+  --out "$tmp/BENCH_parallel.json"
 
 echo
-echo "== MDE gate: peak heap, chunk payload dedup, region memo vs results/BENCH_dedup.json =="
-if [ -f results/BENCH_dedup.json ]; then
-  cargo run --release -p vsfs-bench --bin dedup_mem -- du,ninja,bake \
-    --gate results/BENCH_dedup.json
-else
-  echo "no baseline recorded; writing one"
-  cargo run --release -p vsfs-bench --bin dedup_mem -- du,ninja,bake
-fi
+echo "== MDE gate: peak heap and chunk payload dedup vs results/BENCH_dedup.json =="
+cargo run --release -p vsfs-bench --bin dedup_mem -- du,ninja,bake \
+  --gate results/BENCH_dedup.json
 
 echo
 echo "== protocol fuzz smoke: seeded sessions on both transports, zero deaths =="
@@ -140,7 +138,8 @@ cargo test --release -q -p vsfs-server --test concurrent
 
 echo
 echo "== server gate: snapshot restore >= 5x faster than cold solve =="
-cargo run --release -p vsfs-bench --bin server_bench -- ninja,bake --gate 5
+cargo run --release -p vsfs-bench --bin server_bench -- ninja,bake --gate 5 \
+  --out "$tmp/BENCH_server.json"
 
 echo
 echo "== solver equivalence gate: sfs = vsfs = cfgfree on the serving workloads =="
@@ -162,6 +161,10 @@ echo
 echo "== lint gate: rustfmt clean, clippy clean at -D warnings =="
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo
+echo "== tracked baselines untouched: results/ matches the index =="
+git diff --exit-code -- results/
 
 echo
 echo "CI OK"

@@ -30,11 +30,7 @@ echo "== Checker precision: FP deltas on buggy workload variants =="
 ./target/release/checkers du,ninja
 
 echo
-echo "== Scheduling: FIFO vs topological order, difference propagation =="
-./target/release/scheduling
-
-echo
-echo "== MDE: chunked-store payload, peak heap, region memo (writes results/BENCH_dedup.json) =="
+echo "== MDE: chunked-store payload, peak heap (writes results/BENCH_dedup.json) =="
 ./target/release/dedup_mem
 
 echo

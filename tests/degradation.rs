@@ -35,7 +35,7 @@ fn pipeline(source: &str, jobs: usize) -> Pipeline {
 }
 
 fn run_governed(p: &Pipeline, jobs: usize, gov: &Governor) -> GovernedAnalysis {
-    let opts = IncrementalOptions { solver: SolverKind::Vsfs, jobs, ..Default::default() };
+    let opts = IncrementalOptions { solver: SolverKind::Vsfs, jobs };
     vsfs_core::solve(&p.prog, &p.aux, Some((&p.mssa, &p.svfg)), &opts, Some(gov))
 }
 

@@ -313,14 +313,12 @@ fn vsfs_stores_fewer_object_sets_on_redundant_workloads() {
 }
 
 #[test]
-fn cfgfree_checker_findings_are_bit_identical_across_jobs_and_orders() {
-    // The CFG-free result must be schedule- and parallelism-invariant:
-    // checker findings rendered under its FlowView are byte-for-byte
-    // identical whether the auxiliary stage ran with 1, 2, or 8 jobs
-    // and whether the solver drained its worklist FIFO or topological.
+fn cfgfree_checker_findings_are_bit_identical_across_jobs() {
+    // The CFG-free result must be parallelism-invariant: checker
+    // findings rendered under its FlowView are byte-for-byte identical
+    // whether the auxiliary stage ran with 1, 2, or 8 jobs.
     use vsfs_andersen::AndersenConfig;
     use vsfs_checkers::{render_findings, run_checkers, FlowView};
-    use vsfs_core::SolveOrder;
 
     for p in vsfs_workloads::corpus::corpus() {
         let prog = parse_program(p.source).unwrap();
@@ -335,24 +333,15 @@ fn cfgfree_checker_findings_are_bit_identical_across_jobs_and_orders() {
             // view under test is still the CFG-free result.
             let mssa = MemorySsa::build(&prog, &aux);
             let svfg = Svfg::build(&prog, &aux, &mssa);
-            for order in [SolveOrder::Fifo, SolveOrder::Topo] {
-                let opts = vsfs_core::IncrementalOptions {
-                    solver: vsfs_core::SolverKind::CfgFree,
-                    config: order.into(),
-                    jobs,
-                };
-                let r = vsfs_core::solve(&prog, &aux, None, &opts, None).result;
-                let findings = run_checkers(&prog, &svfg, &FlowView(&r));
-                let rendered = render_findings(&prog, &findings);
-                match &reference {
-                    None => reference = Some(rendered),
-                    Some(want) => assert_eq!(
-                        want,
-                        &rendered,
-                        "{}: findings differ at jobs={jobs} order={}",
-                        p.name,
-                        order.name()
-                    ),
+            let opts =
+                vsfs_core::IncrementalOptions { solver: vsfs_core::SolverKind::CfgFree, jobs };
+            let r = vsfs_core::solve(&prog, &aux, None, &opts, None).result;
+            let findings = run_checkers(&prog, &svfg, &FlowView(&r));
+            let rendered = render_findings(&prog, &findings);
+            match &reference {
+                None => reference = Some(rendered),
+                Some(want) => {
+                    assert_eq!(want, &rendered, "{}: findings differ at jobs={jobs}", p.name)
                 }
             }
         }

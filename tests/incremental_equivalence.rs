@@ -7,8 +7,8 @@
 //! solve of the same source text:
 //!
 //! * every top-level points-to set and the resolved call graph
-//!   (`precision_diff`), against from-scratch SFS under both worklist
-//!   orders **and** from-scratch VSFS at `jobs` 1, 2 and 8;
+//!   (`precision_diff`), against from-scratch SFS **and** from-scratch
+//!   VSFS at `jobs` 1, 2 and 8;
 //! * sampled may-alias queries;
 //! * the full memory-safety finding set;
 //! * the deterministic result fingerprint.
@@ -21,7 +21,7 @@ use vsfs_core::queries::AliasQueries;
 use vsfs_core::result::precision_diff;
 use vsfs_core::{
     resolve_edit, result_fingerprint, solve_program, FlowSensitiveResult, IncrementalOptions,
-    ProgramState, SolveOrder, SolverKind,
+    ProgramState, SolverKind,
 };
 use vsfs_ir::Program;
 use vsfs_testkit::Rng;
@@ -66,15 +66,10 @@ fn cold_pipeline(source: &str, jobs: usize) -> ColdPipeline {
     ColdPipeline { prog, aux, mssa, svfg }
 }
 
-/// An ungoverned from-scratch `kind` solve of `cold` under `order`,
-/// versioning with `jobs` workers.
-fn solve_cold(
-    kind: SolverKind,
-    cold: &ColdPipeline,
-    jobs: usize,
-    order: SolveOrder,
-) -> FlowSensitiveResult {
-    let opts = IncrementalOptions { solver: kind, config: order.into(), jobs };
+/// An ungoverned from-scratch `kind` solve of `cold`, versioning with
+/// `jobs` workers.
+fn solve_cold(kind: SolverKind, cold: &ColdPipeline, jobs: usize) -> FlowSensitiveResult {
+    let opts = IncrementalOptions { solver: kind, jobs };
     vsfs_core::solve(&cold.prog, &cold.aux, Some((&cold.mssa, &cold.svfg)), &opts, None).result
 }
 
@@ -120,17 +115,14 @@ fn assert_matches(
 
 /// The core property: for a random base program and a random 3-edit
 /// script, every incrementally solved state equals a from-scratch solve
-/// of the same text — under SFS (both orders) and VSFS (jobs 1/2/8).
+/// of the same text — under SFS and VSFS (jobs 1/2/8).
 #[test]
 fn edit_sequences_match_from_scratch_solves() {
     vsfs_testkit::check_cases("incremental::edit_sequences_match", CASES, |rng| {
         let cfg = random_config(rng);
         let script = edit_script(&cfg, rng.next_u64(), 3);
         let base_text = script.base.to_string();
-        let opts = IncrementalOptions {
-            config: if rng.gen_bool(0.5) { SolveOrder::Fifo } else { SolveOrder::Topo }.into(),
-            ..IncrementalOptions::default()
-        };
+        let opts = IncrementalOptions::default();
         let (mut state, _) = solve_program(&base_text, opts, None, None).expect("base solves");
 
         for (i, step) in script.steps.iter().enumerate() {
@@ -143,25 +135,15 @@ fn edit_sequences_match_from_scratch_solves() {
                 "{label}: warm state must be available after a complete solve"
             );
 
-            // From-scratch SFS, both worklist orders.
+            // From-scratch SFS.
             let cold = cold_pipeline(&text, 1);
-            for order in [SolveOrder::Fifo, SolveOrder::Topo] {
-                let r = solve_cold(SolverKind::Sfs, &cold, 1, order);
-                assert_matches(&format!("{label} vs sfs/{order:?}"), &next, &cold, &r, rng);
-            }
+            let r = solve_cold(SolverKind::Sfs, &cold, 1);
+            assert_matches(&format!("{label} vs sfs"), &next, &cold, &r, rng);
             // From-scratch VSFS at three parallelism levels.
-            for (jobs, order) in
-                [(1, SolveOrder::Topo), (2, SolveOrder::Fifo), (8, SolveOrder::Topo)]
-            {
+            for jobs in [1, 2, 8] {
                 let cold_j = cold_pipeline(&text, jobs);
-                let r = solve_cold(SolverKind::Vsfs, &cold_j, jobs, order);
-                assert_matches(
-                    &format!("{label} vs vsfs/j{jobs}/{order:?}"),
-                    &next,
-                    &cold_j,
-                    &r,
-                    rng,
-                );
+                let r = solve_cold(SolverKind::Vsfs, &cold_j, jobs);
+                assert_matches(&format!("{label} vs vsfs/j{jobs}"), &next, &cold_j, &r, rng);
             }
             state = next;
         }
