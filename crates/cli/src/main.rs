@@ -754,6 +754,9 @@ fn print_stats(
     println!("would-change:      {} fast, {} slow", st.would_change_fast, st.would_change_slow);
     println!("strong updates:    {}", s.strong_updates);
     println!("calls activated:   {}", s.calls_activated);
+    if kind == SolverKind::CfgFree {
+        println!("reach: {} classes, {} edges", s.versions, s.reliance_edges);
+    }
     if let Some((svfg, _)) = staged {
         println!(
             "svfg: {} nodes, {} direct edges, {} indirect edges",

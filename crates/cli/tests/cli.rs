@@ -263,6 +263,23 @@ fn cold_only_solvers_never_stage_the_graphs() {
 }
 
 #[test]
+fn only_cfgfree_stats_report_reach_classes() {
+    for solver in ["dense", "sfs", "vsfs", "cfgfree", "unify"] {
+        let out = vsfs(&["--solver", solver, "--workload", "du", "--stats"]);
+        assert!(out.status.success(), "{solver}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let reach = stdout.lines().find(|l| l.starts_with("reach: "));
+        match reach {
+            Some(line) if solver == "cfgfree" => {
+                assert!(line.ends_with(" edges") && line.contains(" classes, "), "{line}");
+            }
+            None if solver != "cfgfree" => {}
+            _ => panic!("{solver}: unexpected reach line {reach:?}: {stdout}"),
+        }
+    }
+}
+
+#[test]
 fn exhausted_aux_budget_degrades_to_the_unification_tier_with_exit_two() {
     // A zero memory budget trips the auxiliary stage at its first
     // checkpoint. Rung 3 of the ladder: instead of the old hard error,

@@ -16,17 +16,23 @@
 //!    skipped outright.
 //! 2. **Ordering.** A per-`(function, object)` reaching-definitions
 //!    pass over the basic blocks — in which *only strong stores kill*
-//!    — yields the static `def → use` reach relation. This is the
-//!    "constraint ordering": it encodes exactly which definitions a
-//!    use may observe, which is all the flow sensitivity the SVFG's
+//!    — yields the set of definitions each use may observe. This is
+//!    the "constraint ordering": all the flow sensitivity the SVFG's
 //!    def-use chains encode, without ever running SSA construction.
+//!    Uses that observe the same set form one *reach class* (the
+//!    object-versioning idea: same reaching definitions, same
+//!    `pt(o)`), so the static relation is `def → class`, not
+//!    `def → use`: a run of M loads after K weak stores costs K edges
+//!    and one accumulator, not K×M edges and M accumulators. Uses no
+//!    definition reaches share one class that nothing feeds.
 //! 3. **Solving.** A monotone fixpoint over one worklist of plain
 //!    `InstId`s: def events evaluate their generated value (strong
 //!    stores unconditionally, weak stores gated by the evolving
 //!    points-to set of the address, call/entry events by merging over
-//!    activated bindings) and ship growth along their reach edges with
-//!    the same per-edge frontier difference propagation the staged
-//!    solvers use.
+//!    activated bindings) and ship growth into their classes'
+//!    accumulators with the same per-edge frontier difference
+//!    propagation the staged solvers use. A use reads its class's
+//!    accumulator, which is the union over its reaching definitions.
 //!
 //! **Exactness.** Because weak definitions kill nothing, a definition
 //! reaches a use here iff the corresponding SVFG def-use chain links
@@ -40,6 +46,7 @@
 
 use crate::result::{FlowSensitiveResult, SolveStats};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::time::Instant;
 use vsfs_adt::govern::{Completion, Governor};
 use vsfs_adt::{IndexVec, PointsToSet, PriorityWorklist, PtsId, PtsStore};
@@ -50,6 +57,10 @@ use vsfs_mssa::annot::{annotate, Annotations};
 use vsfs_mssa::ModRef;
 
 const EMPTY: PtsId = PtsStore::<ObjId>::EMPTY;
+
+/// The reach class of every use no definition reaches: no reach edge
+/// feeds it, so its accumulator stays empty.
+const UNREACHED: u32 = 0;
 
 /// Runs the CFG-free solver to a fixpoint. Unlike
 /// [`crate::run_sfs`]/[`crate::run_vsfs`] it takes no memory SSA and no
@@ -75,6 +86,8 @@ pub(crate) fn solve_impl(
     let mut stats = solver.stats;
     stats.solve_seconds = start.elapsed().as_secs_f64();
     stats.pushes_suppressed = solver.worklist.stats().suppressed;
+    stats.versions = solver.cval.len() - 1;
+    stats.reliance_edges = solver.reach.iter().map(Vec::len).sum();
     let (sets, elems, bytes) = solver.storage_stats();
     stats.stored_object_sets = sets;
     stats.stored_object_elems = elems;
@@ -100,27 +113,31 @@ enum DefKind {
     CallRet,
 }
 
-/// What a use event feeds once its accumulated value grows.
-#[derive(Clone, Copy)]
-enum UseKind {
-    /// Load µ: `pt(dst) ⊇ U` for each object gated by `pt(addr)`.
-    Load { addr: ValueId, dst: ValueId },
-    /// Call µ: value shipped into activated callees' entry events.
-    CallMu,
-    /// `FUNEXIT` µ: value shipped into activated callers' return events.
-    ExitMu,
-}
-
 struct DefEvent {
     inst: InstId,
     obj: ObjId,
     kind: DefKind,
 }
 
+/// A µ event. What it feeds follows from its instruction: a load's µ
+/// flows into `pt(dst)` when `pt(addr)` holds the object, a call's µ
+/// into activated callees' entry χ, a `FUNEXIT` µ into activated
+/// callers' return χ.
 struct UseEvent {
     inst: InstId,
     obj: ObjId,
-    kind: UseKind,
+}
+
+/// One event of a function in [`CfgFreeSolver::build_reach`]'s walk:
+/// the object, the block's local index, and the def or use id (`strong`
+/// marks a killing store).
+#[derive(Clone, Copy)]
+struct ReachEvent {
+    obj: ObjId,
+    block: u32,
+    is_def: bool,
+    id: u32,
+    strong: bool,
 }
 
 struct CfgFreeSolver<'a> {
@@ -137,22 +154,29 @@ struct CfgFreeSolver<'a> {
     activated: HashSet<(InstId, FuncId)>,
     defs: Vec<DefEvent>,
     uses: Vec<UseEvent>,
-    /// Def / use events of each instruction (block-walk order).
-    defs_at: IndexVec<InstId, Vec<u32>>,
-    uses_at: IndexVec<InstId, Vec<u32>>,
-    def_index: HashMap<(InstId, ObjId), u32>,
-    use_index: HashMap<(InstId, ObjId), u32>,
-    /// Static reach edges per def: `(use, frontier)` — the set id last
+    /// Def / use event ids of each instruction (each instruction's
+    /// events are contiguous).
+    defs_at: IndexVec<InstId, Range<u32>>,
+    uses_at: IndexVec<InstId, Range<u32>>,
+    /// The binding endpoints `activate` looks up: the `FUNENTRY` def and
+    /// the `FUNEXIT` use of each `(inst, object)`.
+    entry_defs: HashMap<(InstId, ObjId), u32>,
+    exit_uses: HashMap<(InstId, ObjId), u32>,
+    /// Reach class per use: uses of one `(function, object)` with the
+    /// same reaching defs share a class ([`UNREACHED`] if none).
+    use_class: Vec<u32>,
+    /// Static reach edges per def: `(class, frontier)` — the set id last
     /// shipped along the edge, for difference propagation.
     reach: Vec<Vec<(u32, PtsId)>>,
     /// Current generated value per def.
     val: Vec<PtsId>,
-    /// Accumulated value per use: the union over its reaching defs.
-    uval: Vec<PtsId>,
-    /// Dynamic producers of `Entry`/`CallRet` defs: the caller/callee µ
-    /// events wired in by call activation.
+    /// Accumulated value per class: the union over its reaching defs.
+    cval: Vec<PtsId>,
+    /// Dynamic producers of `Entry`/`CallRet` defs: the classes of the
+    /// caller/callee µ events wired in by call activation.
     producers: Vec<Vec<u32>>,
-    /// Instructions to re-run when a use's accumulated value grows.
+    /// Instructions to re-run when a class's accumulated value grows:
+    /// its loads, and the activated bindings of its call/exit µ events.
     consumers: Vec<Vec<InstId>>,
     worklist: PriorityWorklist<InstId>,
     stats: SolveStats,
@@ -181,15 +205,16 @@ impl<'a> CfgFreeSolver<'a> {
             activated: HashSet::new(),
             defs: Vec::new(),
             uses: Vec::new(),
-            defs_at: (0..prog.insts.len()).map(|_| Vec::new()).collect(),
-            uses_at: (0..prog.insts.len()).map(|_| Vec::new()).collect(),
-            def_index: HashMap::new(),
-            use_index: HashMap::new(),
+            defs_at: (0..prog.insts.len()).map(|_| 0..0).collect(),
+            uses_at: (0..prog.insts.len()).map(|_| 0..0).collect(),
+            entry_defs: HashMap::new(),
+            exit_uses: HashMap::new(),
+            use_class: Vec::new(),
             reach: Vec::new(),
             val: Vec::new(),
-            uval: Vec::new(),
+            cval: vec![EMPTY], // UNREACHED
             producers: Vec::new(),
-            consumers: Vec::new(),
+            consumers: vec![Vec::new()],
             worklist: PriorityWorklist::new(Vec::new()),
             stats: SolveStats::default(),
         };
@@ -207,10 +232,11 @@ impl<'a> CfgFreeSolver<'a> {
         for (_, func) in self.prog.functions.iter_enumerated() {
             for &b in &func.blocks {
                 for &inst in &self.prog.blocks[b].insts {
+                    let (d0, u0) = (self.defs.len() as u32, self.uses.len() as u32);
                     match &self.prog.insts[inst].kind {
-                        InstKind::Load { dst, addr } => {
+                        InstKind::Load { .. } => {
                             for o in annots.mu_objs[inst].iter() {
-                                self.add_use(inst, o, UseKind::Load { addr: *addr, dst: *dst });
+                                self.add_use(inst, o);
                             }
                         }
                         InstKind::Store { addr, val } => {
@@ -225,7 +251,7 @@ impl<'a> CfgFreeSolver<'a> {
                         }
                         InstKind::Call { .. } => {
                             for o in annots.mu_objs[inst].iter() {
-                                self.add_use(inst, o, UseKind::CallMu);
+                                self.add_use(inst, o);
                             }
                             for o in annots.chi_objs[inst].iter() {
                                 self.add_def(inst, o, DefKind::CallRet);
@@ -233,12 +259,14 @@ impl<'a> CfgFreeSolver<'a> {
                         }
                         InstKind::FunEntry { .. } => {
                             for o in annots.chi_objs[inst].iter() {
-                                self.add_def(inst, o, DefKind::Entry);
+                                let d = self.add_def(inst, o, DefKind::Entry);
+                                self.entry_defs.insert((inst, o), d);
                             }
                         }
                         InstKind::FunExit { .. } => {
                             for o in annots.mu_objs[inst].iter() {
-                                self.add_use(inst, o, UseKind::ExitMu);
+                                let u = self.add_use(inst, o);
+                                self.exit_uses.insert((inst, o), u);
                             }
                         }
                         // FREE χ events are transparent (no gen, no
@@ -246,191 +274,215 @@ impl<'a> CfgFreeSolver<'a> {
                         // entirely. Everything else is top-level only.
                         _ => {}
                     }
+                    self.defs_at[inst] = d0..self.defs.len() as u32;
+                    self.uses_at[inst] = u0..self.uses.len() as u32;
                 }
             }
         }
     }
 
-    fn add_def(&mut self, inst: InstId, obj: ObjId, kind: DefKind) {
+    fn add_def(&mut self, inst: InstId, obj: ObjId, kind: DefKind) -> u32 {
         let id = self.defs.len() as u32;
         self.defs.push(DefEvent { inst, obj, kind });
-        self.defs_at[inst].push(id);
-        self.def_index.insert((inst, obj), id);
         self.reach.push(Vec::new());
         self.val.push(EMPTY);
         self.producers.push(Vec::new());
+        id
     }
 
-    fn add_use(&mut self, inst: InstId, obj: ObjId, kind: UseKind) {
+    fn add_use(&mut self, inst: InstId, obj: ObjId) -> u32 {
         let id = self.uses.len() as u32;
-        let consumers = match kind {
-            // A load consumes its own accumulated value.
-            UseKind::Load { .. } => vec![inst],
-            // Call/exit µ consumers are the activated bindings' insts,
-            // wired in by `activate`.
-            UseKind::CallMu | UseKind::ExitMu => Vec::new(),
-        };
-        self.uses.push(UseEvent { inst, obj, kind });
-        self.uses_at[inst].push(id);
-        self.use_index.insert((inst, obj), id);
-        self.uval.push(EMPTY);
-        self.consumers.push(consumers);
+        self.uses.push(UseEvent { inst, obj });
+        self.use_class.push(UNREACHED);
+        id
     }
 
     /// The static per-`(function, object)` reaching-definitions pass:
     /// only strong stores kill; every def at-or-after the last strong
-    /// def in a block is generated. Produces `def → use` reach edges.
+    /// def in a block is generated. Assigns every use its reach class
+    /// and produces the `def → class` reach edges.
     fn build_reach(&mut self) {
+        let mut events: Vec<ReachEvent> = Vec::new();
         for (f, func) in self.prog.functions.iter_enumerated() {
-            let cfg = Cfg::build(self.prog, f);
-            let nblocks = cfg.block_count();
-
-            // Per-object, per-block event sequences (deterministic:
-            // objects sorted, blocks and events in layout order).
-            let mut objs: Vec<ObjId> = Vec::new();
-            for &b in &func.blocks {
+            // The function's events in layout order; the stable sort
+            // groups them by object and keeps that order in each group.
+            events.clear();
+            for (bi, &b) in func.blocks.iter().enumerate() {
+                let block = bi as u32;
                 for &inst in &self.prog.blocks[b].insts {
-                    for &d in &self.defs_at[inst] {
-                        objs.push(self.defs[d as usize].obj);
+                    for u in self.uses_at[inst].clone() {
+                        let obj = self.uses[u as usize].obj;
+                        events.push(ReachEvent { obj, block, is_def: false, id: u, strong: false });
                     }
-                    for &u in &self.uses_at[inst] {
-                        objs.push(self.uses[u as usize].obj);
+                    for d in self.defs_at[inst].clone() {
+                        let DefEvent { obj, kind, .. } = self.defs[d as usize];
+                        let strong = matches!(kind, DefKind::Store { strong: true, .. });
+                        events.push(ReachEvent { obj, block, is_def: true, id: d, strong });
                     }
                 }
             }
-            objs.sort_unstable();
-            objs.dedup();
+            if events.is_empty() {
+                continue;
+            }
+            events.sort_by_key(|e| e.obj);
+            let cfg = Cfg::build(self.prog, f);
+            for group in events.chunk_by(|a, b| a.obj == b.obj) {
+                self.reach_object(cfg.graph(), group);
+            }
+        }
+    }
 
-            for o in objs {
-                // Event walk per block: ordered (is_def, id, strong).
-                let mut events: Vec<Vec<(bool, u32, bool)>> = vec![Vec::new(); nblocks];
-                let mut local_defs: Vec<u32> = Vec::new();
-                for (bi, &b) in func.blocks.iter().enumerate() {
-                    for &inst in &self.prog.blocks[b].insts {
-                        for &u in &self.uses_at[inst] {
-                            if self.uses[u as usize].obj == o {
-                                events[bi].push((false, u, false));
-                            }
-                        }
-                        for &d in &self.defs_at[inst] {
-                            if self.defs[d as usize].obj == o {
-                                let strong = matches!(
-                                    self.defs[d as usize].kind,
-                                    DefKind::Store { strong: true, .. }
-                                );
-                                events[bi].push((true, d, strong));
-                                local_defs.push(d);
-                            }
-                        }
+    /// Reaching definitions for one `(function, object)` over the
+    /// function's local block graph `cfg`; `group` is the object's
+    /// events in layout order. A def's local index is its position
+    /// among the group's defs.
+    fn reach_object(&mut self, cfg: &DiGraph<u32>, group: &[ReachEvent]) {
+        let local_defs: Vec<u32> = group.iter().filter(|e| e.is_def).map(|e| e.id).collect();
+        if local_defs.is_empty() {
+            return; // every use of the object here stays UNREACHED
+        }
+        let nblocks = cfg.node_count();
+        let words = local_defs.len().div_ceil(64);
+        let row = |bi: usize| bi * words..(bi + 1) * words;
+
+        // GEN per block + whether the block kills (strong def).
+        let mut gen = vec![0u64; nblocks * words];
+        let mut kills = vec![false; nblocks];
+        for (l, e) in group.iter().filter(|e| e.is_def).enumerate() {
+            let bi = e.block as usize;
+            if e.strong {
+                gen[row(bi)].fill(0);
+                kills[bi] = true;
+            }
+            gen[bi * words + l / 64] |= 1u64 << (l % 64);
+        }
+
+        // IN/OUT fixpoint: IN[B] = ⋃ OUT[pred];
+        // OUT[B] = GEN[B] ∪ (IN[B] unless B kills).
+        let mut ins = vec![0u64; nblocks * words];
+        let mut outs = vec![0u64; nblocks * words];
+        let mut inb = vec![0u64; words];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (bi, &kill) in kills.iter().enumerate() {
+                inb.fill(0);
+                for &p in cfg.predecessors(bi as u32) {
+                    for (w, &pw) in inb.iter_mut().zip(&outs[row(p as usize)]) {
+                        *w |= pw;
                     }
                 }
-                if local_defs.is_empty() {
-                    continue; // nothing can reach any use of `o` here
-                }
-                let k = local_defs.len();
-                let words = k.div_ceil(64);
-                let local_of: HashMap<u32, usize> =
-                    local_defs.iter().enumerate().map(|(i, &d)| (d, i)).collect();
-
-                // GEN per block + whether the block kills (strong def).
-                let mut gen = vec![vec![0u64; words]; nblocks];
-                let mut kills = vec![false; nblocks];
-                for bi in 0..nblocks {
-                    for &(is_def, id, strong) in &events[bi] {
-                        if !is_def {
-                            continue;
-                        }
-                        if strong {
-                            gen[bi].iter_mut().for_each(|w| *w = 0);
-                            kills[bi] = true;
-                        }
-                        let l = local_of[&id];
-                        gen[bi][l / 64] |= 1u64 << (l % 64);
-                    }
-                }
-
-                // IN/OUT fixpoint: IN[B] = ⋃ OUT[pred];
-                // OUT[B] = GEN[B] ∪ (IN[B] unless B kills).
-                let mut ins = vec![vec![0u64; words]; nblocks];
-                let mut outs = vec![vec![0u64; words]; nblocks];
-                let mut changed = true;
-                while changed {
-                    changed = false;
-                    for bi in 0..nblocks {
-                        let b = cfg.block(bi as u32);
-                        let mut inb = vec![0u64; words];
-                        for p in cfg.predecessors(b) {
-                            let pi = cfg.local(p) as usize;
-                            for (w, &pw) in inb.iter_mut().zip(&outs[pi]) {
-                                *w |= pw;
-                            }
-                        }
-                        let mut outb = gen[bi].clone();
-                        if !kills[bi] {
-                            for (w, &iw) in outb.iter_mut().zip(&inb) {
-                                *w |= iw;
-                            }
-                        }
-                        if inb != ins[bi] || outb != outs[bi] {
-                            ins[bi] = inb;
-                            outs[bi] = outb;
-                            changed = true;
-                        }
-                    }
-                }
-
-                // Final pass: at each use, the reaching set is the
-                // running in-block state started from IN[B].
-                for bi in 0..nblocks {
-                    let mut cur = ins[bi].clone();
-                    for &(is_def, id, strong) in &events[bi] {
-                        if is_def {
-                            if strong {
-                                cur.iter_mut().for_each(|w| *w = 0);
-                            }
-                            let l = local_of[&id];
-                            cur[l / 64] |= 1u64 << (l % 64);
-                        } else {
-                            for (wi, &w) in cur.iter().enumerate() {
-                                let mut bits = w;
-                                while bits != 0 {
-                                    let l = wi * 64 + bits.trailing_zeros() as usize;
-                                    bits &= bits - 1;
-                                    let d = local_defs[l];
-                                    self.reach[d as usize].push((id, EMPTY));
-                                }
-                            }
-                        }
+                let keep = if kill { 0 } else { u64::MAX };
+                for (k, &iw) in inb.iter().enumerate() {
+                    let i = bi * words + k;
+                    let out = gen[i] | (iw & keep);
+                    if iw != ins[i] || out != outs[i] {
+                        ins[i] = iw;
+                        outs[i] = out;
+                        changed = true;
                     }
                 }
             }
         }
+
+        // Final pass: at each use, the reaching set is the running
+        // in-block state started from IN[B]. Consecutive uses with no
+        // def between them share `class` without a lookup.
+        let mut classes: HashMap<Vec<u64>, u32> = HashMap::new();
+        let mut cur = vec![0u64; words];
+        let mut block = None;
+        let mut class = None;
+        let mut l = 0;
+        for e in group {
+            if block != Some(e.block) {
+                block = Some(e.block);
+                cur.copy_from_slice(&ins[row(e.block as usize)]);
+                class = None;
+            }
+            if e.is_def {
+                if e.strong {
+                    cur.fill(0);
+                }
+                cur[l / 64] |= 1u64 << (l % 64);
+                l += 1;
+                class = None;
+                continue;
+            }
+            let c = *class.get_or_insert_with(|| self.intern(&mut classes, &cur, &local_defs));
+            let inst = self.uses[e.id as usize].inst;
+            self.use_class[e.id as usize] = c;
+            // A load consumes its own accumulated value. Call/exit µ
+            // consumers are the activated bindings' insts, wired in by
+            // `activate`.
+            if matches!(self.prog.insts[inst].kind, InstKind::Load { .. }) {
+                self.consumers[c as usize].push(inst);
+            }
+        }
+    }
+
+    /// The class of the reaching set `cur` (bits index `local_defs`),
+    /// created with its `def → class` edges on first sight.
+    fn intern(
+        &mut self,
+        classes: &mut HashMap<Vec<u64>, u32>,
+        cur: &[u64],
+        local_defs: &[u32],
+    ) -> u32 {
+        if cur.iter().all(|&w| w == 0) {
+            return UNREACHED;
+        }
+        if let Some(&c) = classes.get(cur) {
+            return c;
+        }
+        let c = self.cval.len() as u32;
+        self.cval.push(EMPTY);
+        self.consumers.push(Vec::new());
+        for (wi, &w) in cur.iter().enumerate() {
+            let mut bits = w;
+            while bits != 0 {
+                let l = wi * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.reach[local_defs[l] as usize].push((c, EMPTY));
+            }
+        }
+        classes.insert(cur.to_vec(), c);
+        c
     }
 
     /// Topological ranks over instructions, from the static dependence
     /// graph: SSA def-use edges, memory reach edges, parameter flow,
     /// and every *candidate* call binding from the auxiliary call
     /// graph (so edges activated mid-solve are already ranked —
-    /// mirroring `schedule::svfg_ranks`).
+    /// mirroring `schedule::svfg_ranks`). Memory reach runs through one
+    /// node per class (def inst → class → use inst), which links the
+    /// same instructions as a def → use edge per reaching pair.
     fn inst_ranks(&self) -> Vec<u32> {
-        let mut g: DiGraph<InstId> = DiGraph::with_nodes(self.prog.insts.len());
+        let n = self.prog.insts.len();
+        let node = |i: InstId| i.index() as u32;
+        let class_node = |c: u32| (n as u32) + c;
+        let mut g: DiGraph<u32> = DiGraph::with_nodes(n + self.cval.len());
         for v in self.prog.values.indices() {
             if let Some(d) = DefUse::def_inst(self.prog, v) {
                 for &u in self.defuse.uses(v) {
-                    g.add_edge(d, u);
+                    g.add_edge(node(d), node(u));
                 }
             }
         }
         for (d, edges) in self.reach.iter().enumerate() {
-            let di = self.defs[d].inst;
-            for &(u, _) in edges {
-                g.add_edge(di, self.uses[u as usize].inst);
+            let di = node(self.defs[d].inst);
+            for &(c, _) in edges {
+                g.add_edge(di, class_node(c));
+            }
+        }
+        for (u, &c) in self.use_class.iter().enumerate() {
+            if c != UNREACHED {
+                g.add_edge(class_node(c), node(self.uses[u].inst));
             }
         }
         for (_, func) in self.prog.functions.iter_enumerated() {
             for &p in &func.params {
                 for &u in self.defuse.uses(p) {
-                    g.add_edge(func.entry_inst, u);
+                    g.add_edge(node(func.entry_inst), node(u));
                 }
             }
         }
@@ -440,11 +492,21 @@ impl<'a> CfgFreeSolver<'a> {
             }
             for &f in self.aux.callgraph.callees(call) {
                 let func = &self.prog.functions[f];
-                g.add_edge(call, func.entry_inst);
-                g.add_edge(func.exit_inst, call);
+                g.add_edge(node(call), node(func.entry_inst));
+                g.add_edge(node(func.exit_inst), node(call));
             }
         }
-        condensation_ranks(&g)
+        let mut ranks = condensation_ranks(&g);
+        // Keep the instructions' ranks, renumbered densely so the
+        // worklist gets no bucket for a rank only a class held.
+        ranks.truncate(n);
+        let mut dense = ranks.clone();
+        dense.sort_unstable();
+        dense.dedup();
+        for r in &mut ranks {
+            *r = dense.binary_search(r).expect("rank is in its own table") as u32;
+        }
+        ranks
     }
 
     fn solve_governed(&mut self, governor: Option<&Governor>) -> Completion {
@@ -462,22 +524,18 @@ impl<'a> CfgFreeSolver<'a> {
 
     fn process(&mut self, inst: InstId) {
         self.transfer_top(inst);
-        // µ phase: loads pull their accumulated values, gated by the
+        // µ phase: a load pulls its accumulated values, gated by the
         // evolving pt(addr) — exactly SFS's `[LOAD]` dynamic gate.
-        for k in 0..self.uses_at[inst].len() {
-            let u = self.uses_at[inst][k];
-            let UseEvent { obj, kind, .. } = &self.uses[u as usize];
-            if let UseKind::Load { addr, dst } = kind {
-                let (obj, addr, dst) = (*obj, *addr, *dst);
-                if self.store.contains(self.pt[addr], obj) {
-                    let v = self.uval[u as usize];
+        if let InstKind::Load { addr, dst } = self.prog.insts[inst].kind {
+            for u in self.uses_at[inst].clone() {
+                if self.store.contains(self.pt[addr], self.uses[u as usize].obj) {
+                    let v = self.cval[self.use_class[u as usize] as usize];
                     self.union_pt(dst, v);
                 }
             }
         }
         // χ phase: re-evaluate generated values, ship growth.
-        for k in 0..self.defs_at[inst].len() {
-            let d = self.defs_at[inst][k];
+        for d in self.defs_at[inst].clone() {
             let new = self.eval_def(d);
             if new != self.val[d as usize] {
                 self.val[d as usize] = new;
@@ -487,7 +545,7 @@ impl<'a> CfgFreeSolver<'a> {
     }
 
     /// The value def `d` currently generates (monotone in the solver
-    /// state: pt sets and use accumulators only grow, gates only open).
+    /// state: pt sets and class accumulators only grow, gates only open).
     fn eval_def(&mut self, d: u32) -> PtsId {
         self.stats.object_propagations += 1;
         let obj = self.defs[d as usize].obj;
@@ -505,8 +563,8 @@ impl<'a> CfgFreeSolver<'a> {
             DefKind::Entry | DefKind::CallRet => {
                 let mut v = self.val[d as usize];
                 for k in 0..self.producers[d as usize].len() {
-                    let u = self.producers[d as usize][k];
-                    v = self.store.union(v, self.uval[u as usize]);
+                    let c = self.producers[d as usize][k];
+                    v = self.store.union(v, self.cval[c as usize]);
                 }
                 v
             }
@@ -514,12 +572,12 @@ impl<'a> CfgFreeSolver<'a> {
     }
 
     /// Ships def `d`'s value past each reach edge's frontier into the
-    /// target use's accumulator; on growth, re-queues the consumers.
-    /// Differential and exact, as in `SfsSolver::ship_delta`.
+    /// target class's accumulator; on growth, re-queues the class's
+    /// consumers. Differential and exact, as in `SfsSolver::ship_delta`.
     fn ship(&mut self, d: u32) {
         let v = self.val[d as usize];
         for k in 0..self.reach[d as usize].len() {
-            let (u, last) = self.reach[d as usize][k];
+            let (c, last) = self.reach[d as usize][k];
             self.stats.object_propagations += 1;
             if v == last {
                 self.stats.unions_avoided += 1;
@@ -529,15 +587,15 @@ impl<'a> CfgFreeSolver<'a> {
             let delta = self.store.diff(v, last);
             self.stats.delta_bytes += self.store.flat_bytes(delta);
             self.reach[d as usize][k].1 = v;
-            let cur = self.uval[u as usize];
+            let cur = self.cval[c as usize];
             if delta == EMPTY || !self.store.union_would_change(cur, delta) {
                 self.stats.unions_avoided += 1;
                 continue;
             }
-            self.uval[u as usize] = self.store.union(cur, delta);
-            for ci in 0..self.consumers[u as usize].len() {
-                let c = self.consumers[u as usize][ci];
-                self.worklist.push(c);
+            self.cval[c as usize] = self.store.union(cur, delta);
+            for ci in 0..self.consumers[c as usize].len() {
+                let inst = self.consumers[c as usize][ci];
+                self.worklist.push(inst);
             }
         }
     }
@@ -653,29 +711,23 @@ impl<'a> CfgFreeSolver<'a> {
         let (entry, exit) = (func.entry_inst, func.exit_inst);
         // ins(call, callee): objects both used at the call site and
         // live-in at the callee — same intersection as the SVFG's
-        // call binding.
-        for k in 0..self.uses_at[call].len() {
-            let u = self.uses_at[call][k];
-            if !matches!(self.uses[u as usize].kind, UseKind::CallMu) {
-                continue;
-            }
-            let o = self.uses[u as usize].obj;
-            if let Some(&d) = self.def_index.get(&(entry, o)) {
-                self.producers[d as usize].push(u);
-                self.consumers[u as usize].push(entry);
+        // call binding. A call's µ events are all call µ, its χ events
+        // all call-return χ.
+        for u in self.uses_at[call].clone() {
+            let (o, c) = (self.uses[u as usize].obj, self.use_class[u as usize]);
+            if let Some(&d) = self.entry_defs.get(&(entry, o)) {
+                self.producers[d as usize].push(c);
+                self.consumers[c as usize].push(entry);
             }
         }
         // outs(call, callee): objects the callee summary-modifies that
         // the call site also defines.
-        for k in 0..self.defs_at[call].len() {
-            let d = self.defs_at[call][k];
-            if !matches!(self.defs[d as usize].kind, DefKind::CallRet) {
-                continue;
-            }
+        for d in self.defs_at[call].clone() {
             let o = self.defs[d as usize].obj;
-            if let Some(&u) = self.use_index.get(&(exit, o)) {
-                self.producers[d as usize].push(u);
-                self.consumers[u as usize].push(call);
+            if let Some(&u) = self.exit_uses.get(&(exit, o)) {
+                let c = self.use_class[u as usize];
+                self.producers[d as usize].push(c);
+                self.consumers[c as usize].push(call);
             }
         }
         // The callee's entry must (re)run to merge the new caller's
@@ -689,12 +741,13 @@ impl<'a> CfgFreeSolver<'a> {
     }
 
     /// `(set count, total elements, approximate heap bytes)` across the
-    /// def/use accumulators — the Table III storage analogue.
+    /// def values and class accumulators — the Table III storage
+    /// analogue.
     fn storage_stats(&self) -> (usize, usize, usize) {
         let mut sets = 0;
         let mut elems = 0;
         let mut bytes = 0;
-        for &id in self.val.iter().chain(self.uval.iter()) {
+        for &id in self.val.iter().chain(self.cval.iter()) {
             if id == EMPTY {
                 continue;
             }
@@ -866,16 +919,132 @@ mod tests {
             let prog = parse_program(src).unwrap();
             vsfs_ir::verify::verify(&prog).unwrap();
             let aux = vsfs_andersen::analyze(&prog);
-            let mssa = vsfs_mssa::MemorySsa::build(&prog, &aux);
-            let svfg = vsfs_svfg::Svfg::build(&prog, &aux, &mssa);
-            let sfs = crate::run_sfs(&prog, &aux, &mssa, &svfg);
-            let cf = run_cfgfree(&prog, &aux);
-            assert_eq!(
-                crate::precision_diff(&prog, &sfs, &cf),
-                None,
-                "cfgfree must be query-identical to sfs"
-            );
+            assert_matches_sfs(&prog, &aux, &run_cfgfree(&prog, &aux));
         }
+    }
+
+    fn assert_matches_sfs(prog: &Program, aux: &AndersenResult, cf: &FlowSensitiveResult) {
+        let mssa = vsfs_mssa::MemorySsa::build(prog, aux);
+        let svfg = vsfs_svfg::Svfg::build(prog, aux, &mssa);
+        let sfs = crate::run_sfs(prog, aux, &mssa, &svfg);
+        assert_eq!(crate::precision_diff(prog, &sfs, cf), None, "cfgfree must match sfs");
+        assert_eq!(sfs.callgraph_edges, cf.callgraph_edges);
+    }
+
+    fn obj_named(prog: &Program, name: &str) -> ObjId {
+        prog.objects.iter_enumerated().find(|(_, o)| o.name == name).map(|(id, _)| id).unwrap()
+    }
+
+    #[test]
+    fn uses_seeing_the_same_defs_share_one_class() {
+        // K weak stores into one heap cell, then M loads of it: every
+        // load sees the same K stores plus the entry χ, so the reach
+        // relation is K + 1 edges into one class. Per use it was
+        // (K + 1) × M edges.
+        const K: usize = 5;
+        const M: usize = 4;
+        let mut src = String::from("func @main() {\nentry:\n  %h = alloc heap Cell\n");
+        for i in 0..K {
+            src += &format!("  %a{i} = alloc heap A{i}\n  store %a{i}, %h\n");
+        }
+        for j in 0..M {
+            src += &format!("  %v{j} = load %h\n");
+        }
+        src += "  ret\n}\n";
+        let prog = parse_program(&src).unwrap();
+        vsfs_ir::verify::verify(&prog).unwrap();
+        let aux = vsfs_andersen::analyze(&prog);
+        let solver = CfgFreeSolver::new(&prog, &aux);
+        let cell = obj_named(&prog, "Cell");
+
+        let cell_uses: Vec<usize> =
+            (0..solver.uses.len()).filter(|&u| solver.uses[u].obj == cell).collect();
+        assert_eq!(cell_uses.len(), M, "the cell is private to @main: no exit µ");
+        let class = solver.use_class[cell_uses[0]];
+        assert_ne!(class, UNREACHED);
+        assert!(cell_uses.iter().all(|&u| solver.use_class[u] == class), "one class");
+
+        let mut stores = 0;
+        let mut edges = 0;
+        for (d, def) in solver.defs.iter().enumerate() {
+            if def.obj != cell {
+                continue;
+            }
+            assert_eq!(solver.reach[d], vec![(class, EMPTY)], "one edge per def");
+            stores += usize::from(matches!(def.kind, DefKind::Store { strong: false, .. }));
+            edges += solver.reach[d].len();
+        }
+        assert_eq!(stores, K);
+        assert_eq!(edges, K + 1, "K stores and the entry χ, against (K + 1) × M per use");
+        assert_eq!(solver.consumers[class as usize].len(), M, "each load consumes the class");
+
+        let r = run_cfgfree(&prog, &aux);
+        let all: Vec<String> = (0..K).map(|i| format!("A{i}")).collect();
+        for j in 0..M {
+            assert_eq!(pts(&prog, &r, &format!("v{j}")), all);
+        }
+        assert_matches_sfs(&prog, &aux, &r);
+    }
+
+    #[test]
+    fn load_and_late_indirect_call_share_a_class() {
+        // In `loop`, the load of O and the icall's µ(O) see the same
+        // defs of O, so they share a class whose first consumer is the
+        // load. The icall resolves only once the store to @tab comes
+        // round the back edge; `activate` then appends @reader's entry
+        // to that class. @reader's store returns to O through the
+        // call's χ and the back edge, growing the class after @reader's
+        // entry has run: only the appended consumer re-runs the entry,
+        // so that `%seen` gets FromReader.
+        let src = r#"
+            global @tab
+            func @reader(%q) {
+            entry:
+              %seen = load %q
+              %h = alloc heap FromReader
+              store %h, %q
+              ret
+            }
+            func @main() {
+            entry:
+              %o = alloc heap O
+              %a = alloc heap A
+              store %a, %o
+              goto loop
+            loop:
+              %fp = load @tab
+              %v = load %o
+              %r = icall %fp(%o)
+              %f = funaddr @reader
+              store %f, @tab
+              br loop, done
+            done:
+              ret
+            }
+            "#;
+        let prog = parse_program(src).unwrap();
+        vsfs_ir::verify::verify(&prog).unwrap();
+        let aux = vsfs_andersen::analyze(&prog);
+        let solver = CfgFreeSolver::new(&prog, &aux);
+        let o = obj_named(&prog, "O");
+        // The class of O's use at the instruction defining `value`.
+        let class_at = |value: &str| {
+            let v = prog.values.iter_enumerated().find(|(_, x)| x.name == value).unwrap().0;
+            let inst = DefUse::def_inst(&prog, v).unwrap();
+            let mut at = solver.uses_at[inst].clone();
+            let u = at.find(|&u| solver.uses[u as usize].obj == o).unwrap();
+            solver.use_class[u as usize]
+        };
+        let load = class_at("v");
+        assert_ne!(load, UNREACHED);
+        assert_eq!(load, class_at("r"), "the load and the icall's µ share a class");
+        assert_eq!(solver.consumers[load as usize].len(), 1, "only the load before activation");
+
+        let r = run_cfgfree(&prog, &aux);
+        assert_eq!(r.callgraph_edges.len(), 1, "the icall resolves");
+        assert_eq!(pts(&prog, &r, "v"), vec!["A", "FromReader"]);
+        assert_eq!(pts(&prog, &r, "seen"), vec!["A", "FromReader"]);
+        assert_matches_sfs(&prog, &aux, &r);
     }
 
     #[test]

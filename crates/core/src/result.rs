@@ -194,8 +194,9 @@ pub struct SolveStats {
     pub full_bytes: usize,
     /// Distinct points-to sets stored for address-taken objects at the end
     /// of the run (SFS: `IN`/`OUT` entries; VSFS: `(object, version)`
-    /// slots). Logical slots — dedup across slots shows up in
-    /// [`SolveStats::store`], not here.
+    /// slots; cfgfree: def values plus class accumulators). Logical
+    /// slots — dedup across slots shows up in [`SolveStats::store`], not
+    /// here.
     pub stored_object_sets: usize,
     /// Total elements across those sets.
     pub stored_object_elems: usize,
@@ -208,10 +209,13 @@ pub struct SolveStats {
     pub calls_activated: usize,
     /// Versioning-only: number of non-identity prelabels created.
     pub prelabels: usize,
-    /// Versioning-only: distinct `(object, version)` slots.
+    /// Distinct `(object, version)` slots (VSFS) or reach classes —
+    /// uses of one `(function, object)` that see the same reaching
+    /// definitions (cfgfree). 0 for the other solvers.
     pub versions: usize,
-    /// Versioning-only: version reliance (propagation) constraints after
-    /// deduplication.
+    /// Version reliance (propagation) constraints after deduplication
+    /// (VSFS) or `def → class` reach edges (cfgfree). 0 for the other
+    /// solvers.
     pub reliance_edges: usize,
     /// Always 0: the solvers skip no node transfers. Kept because the
     /// repository benchmark records it.

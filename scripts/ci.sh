@@ -64,18 +64,20 @@ done
 echo "ok: 3 kinds x 3 seeds degrade soundly and identically at --jobs 1/4"
 
 echo
-echo "== checker corpus: flow-sensitive diagnostics match .expected verbatim =="
-for f in workloads/checkers/*.vir; do
-  expected="${f%.vir}.expected"
-  got="$(./target/release/vsfs --check "$f" | grep -v '^check-summary:' || true)"
-  want="$(grep -v '^#' "$expected" | grep -v '^$' || true)"
-  if [ "$got" != "$want" ]; then
-    echo "FAIL: $f diagnostics differ from $expected" >&2
-    diff <(printf '%s' "$want") <(printf '%s' "$got") >&2 || true
-    exit 1
-  fi
+echo "== checker corpus: flow-sensitive diagnostics match .expected verbatim under every sparse solver =="
+for solver in sfs vsfs cfgfree; do
+  for f in workloads/checkers/*.vir; do
+    expected="${f%.vir}.expected"
+    got="$(./target/release/vsfs --solver "$solver" --check "$f" | grep -v '^check-summary:' || true)"
+    want="$(grep -v '^#' "$expected" | grep -v '^$' || true)"
+    if [ "$got" != "$want" ]; then
+      echo "FAIL: --solver $solver: $f diagnostics differ from $expected" >&2
+      diff <(printf '%s' "$want") <(printf '%s' "$got") >&2 || true
+      exit 1
+    fi
+  done
 done
-echo "ok: $(ls workloads/checkers/*.vir | wc -l) corpus programs match their expected findings exactly"
+echo "ok: $(ls workloads/checkers/*.vir | wc -l) corpus programs match their expected findings exactly under sfs, vsfs and cfgfree"
 
 echo
 echo "== governed check: degraded run exits 2 with sound Andersen findings =="
